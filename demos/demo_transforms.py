@@ -17,7 +17,7 @@ import numpy as np
 from corrtrans import (
     BVN,
     SQUAREV,
-    fisher,
+    fisher_transform,
     normal_quantile,
     optimal_transform_numeric,
     psi_closed,
@@ -28,6 +28,7 @@ from corrtrans import (
 rhos = np.linspace(-0.9, 0.9, 7)
 z05 = normal_quantile(0.95)
 z01 = normal_quantile(0.99)
+fisher = fisher_transform().psi
 
 print("BVN optimal transforms (columns: alpha = 0.05, alpha = 0.01, Fisher)")
 print(f"{'rho':>6} {'psi_0.05':>10} {'psi_0.01':>10} {'atanh':>10}")

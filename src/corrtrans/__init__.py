@@ -18,7 +18,6 @@ from .models import (
     DependenceModel,
     delta_closed,
     dominance_range,
-    fisher,
     fisher_dominance_threshold,
     get_model,
     psi_closed,

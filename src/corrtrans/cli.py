@@ -127,10 +127,9 @@ def _fmt(value: float, digits: int) -> str:
 def _cmd_transform(args, digits: int) -> None:
     model = mo.get_model(args.model)
     z = args.z if args.z is not None else normal_quantile(1.0 - args.alpha)
-    psi = mo.psi_closed(model, z, args.rho)
-    dpsi = (1.0 - args.rho ** 2) ** mo.optimal_exponent(model, z)
-    print(f"psi({_fmt(args.rho, digits)}) = {_fmt(psi, digits)}")
-    print(f"psi'({_fmt(args.rho, digits)}) = {_fmt(dpsi, digits)}")
+    t = mo.optimal_transform_closed(model, z)
+    print(f"psi({_fmt(args.rho, digits)}) = {_fmt(t.psi(args.rho), digits)}")
+    print(f"psi'({_fmt(args.rho, digits)}) = {_fmt(t.dpsi(args.rho), digits)}")
 
 
 def _cmd_delta(args, digits: int) -> None:
@@ -166,9 +165,12 @@ def _cmd_simulate(args, digits: int) -> None:
         raise _UsageError(f"config file not found: {path}")
     try:
         cfg = RunConfig.from_json(path)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        grid = cfg.grid()
+    except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"bad config: {exc}")
-    results = mc.run_grid(cfg.grid())
+    if cfg.format not in ("csv", "json"):
+        raise _UsageError(f"unknown output format {cfg.format!r}")
+    results = mc.run_grid(grid)
     rows = []
     for (kind, alpha, rho, n), cell in sorted(results.items()):
         hat_mean = math.fsum(cell.alpha_hats) / len(cell.alpha_hats)
@@ -185,11 +187,9 @@ def _cmd_simulate(args, digits: int) -> None:
             writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
             writer.writeheader()
             writer.writerows(rows)
-    elif cfg.format == "json":
+    else:
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(rows, fh, indent=2)
-    else:
-        raise _UsageError(f"unknown output format {cfg.format!r}")
     print(f"wrote {len(rows)} rows to {out}")
 
 
@@ -258,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         _COMMANDS[args.command](args, args.digits)
-    except _UsageError as exc:
+    except (_UsageError, mc.ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, pe.DegenerateModelError, ValueError,

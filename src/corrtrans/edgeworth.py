@@ -50,16 +50,13 @@ def coeff_a1(m: EdgeworthModel) -> float:
 
 
 def coeff_a3(m: EdgeworthModel) -> float:
-    """(L'SL - sigma^2) tr(H Sigma) / (4 sigma^3) + L'S H S L / (2 sigma^3).
+    """L'S H S L / (2 sigma^3).
 
-    The first summand is identically zero when sigma is defined from
-    L'Sigma L, but is kept so the coefficient reads as the general formula.
+    The general formula adds (L'SL - sigma^2) tr(H Sigma) / (4 sigma^3),
+    which vanishes here because the model requires sigma^2 = L'Sigma L.
     """
-    s = m.sigma
-    lsl = float(m.L @ m.Sigma @ m.L)
-    tr = float(np.trace(m.H @ m.Sigma))
     quad = float(m.L @ m.Sigma @ m.H @ m.Sigma @ m.L)
-    return (lsl - s * s) * tr / (4.0 * s ** 3) + quad / (2.0 * s ** 3)
+    return quad / (2.0 * m.sigma ** 3)
 
 
 def delta(m: EdgeworthModel, z: float) -> float:

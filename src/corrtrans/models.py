@@ -21,10 +21,10 @@ from .pearson import (
     Transform,
     fisher_transform,
     identity_transform,
-    tau,
+    r_from_sums,
+    sigma_rho,
 )
 from .specfun import (
-    Tolerance,
     gamma_ratio_endpoint,
     gauss_2f1_half,
     log_gamma,
@@ -46,7 +46,6 @@ __all__ = [
     "sample_squarev_via_bvn",
     "optimal_exponent",
     "psi_closed",
-    "fisher",
     "optimal_transform_closed",
     "transform_for",
     "delta_closed",
@@ -120,17 +119,57 @@ def sample_squarev_via_bvn(rho: float, n: int, rng: np.random.Generator) -> np.n
     return out
 
 
+def _bvn_batch_sums(rho: float, rows: int, n: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, ...]:
+    y = rng.standard_normal((rows, n))
+    y1 = rng.standard_normal((rows, n))
+    z = rho * y + math.sqrt(1.0 - rho * rho) * y1
+    sy = y.sum(axis=1)
+    sz = z.sum(axis=1)
+    syy = np.einsum("ij,ij->i", y, y)
+    szz = np.einsum("ij,ij->i", z, z)
+    syz = np.einsum("ij,ij->i", y, z)
+    return sy, sz, syy, szz, syz
+
+
+def _squarev_batch_sums(rho: float, rows: int, n: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    u = rng.random((rows, n))
+    c0 = (1.0 + rho) / 4.0
+    c2 = (3.0 - rho) / 4.0
+    y = np.where(u < 0.5, 1.0, -1.0)
+    z = np.where((u < c0) | ((u >= 0.5) & (u < c2)), 1.0, -1.0)
+    sy = y.sum(axis=1)
+    sz = z.sum(axis=1)
+    syy = np.full(rows, float(n))
+    szz = syy
+    syz = np.einsum("ij,ij->i", y, z)
+    return sy, sz, syy, szz, syz
+
+
 @dataclass(frozen=True)
 class DependenceModel:
-    """A correlation-parametrized model: moments, sampler, closed forms."""
+    """A correlation-parametrized model: moments, samplers, closed forms.
+
+    The closed forms rest on three numbers per model.  The leading error
+    term of R is Delta_R(z) = phi(z) g(rho) (z^2 + B), with g = odd_factor
+    and B = delta_const.  A transform psi subtracts
+    (psi''/psi')(rho) sigma(rho) z^2 phi(z) / 2; for Fisher's transform that
+    is k g(rho) z^2 phi(z), with k = fisher_slope.
+    """
 
     name: str
     moments: MomentSpec
     sampler: Callable[[float, int, np.random.Generator], np.ndarray]
-    exponent: Callable[[float], float]   # p_z (BVN) or q_z (SquareV)
+    # (rho, rows, n, rng) -> sums of Y, Z, Y^2, Z^2, YZ over each of `rows`
+    # samples of size n, for r_from_sums
+    batch_sums: Callable[[float, int, int, np.random.Generator],
+                         tuple[np.ndarray, ...]]
+    odd_factor: Callable[[float], float]
+    delta_const: float
+    fisher_slope: float
 
     def sigma(self, rho: float) -> float:
-        from .pearson import sigma_rho
         return sigma_rho(self.moments, rho)
 
 
@@ -146,26 +185,24 @@ class BetaInterval:
             raise ValueError("BetaInterval requires lo < hi")
 
 
-def _p_z(z: float) -> float:
-    return 1.0 / (2.0 * z * z) - 1.0
-
-
-def _q_z(z: float) -> float:
-    return 1.0 / (3.0 * z * z) - 1.0 / 3.0
-
-
 BVN = DependenceModel(
     name="bvn",
     moments=MomentSpec(bvn_moments),
     sampler=sample_bvn,
-    exponent=_p_z,
+    batch_sums=_bvn_batch_sums,
+    odd_factor=lambda rho: rho,
+    delta_const=-0.5,
+    fisher_slope=1.0,
 )
 
 SQUAREV = DependenceModel(
     name="squarev",
     moments=MomentSpec(squarev_moments),
     sampler=sample_squarev,
-    exponent=_q_z,
+    batch_sums=_squarev_batch_sums,
+    odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
+    delta_const=-1.0,
+    fisher_slope=3.0,
 )
 
 _MODELS = {"bvn": BVN, "squarev": SQUAREV}
@@ -179,9 +216,15 @@ def get_model(name: str) -> DependenceModel:
 
 
 def optimal_exponent(model: DependenceModel, z: float) -> float:
+    """Exponent p of the optimal transform's psi' = (1 - rho^2)^p at z.
+
+    p = -(1 + B/z^2)/k, computed as 1/(c z^2) - 1/k with c = -k/B so that it
+    rounds like the paper's p_z = 1/(2z^2) - 1 and q_z = 1/(3z^2) - 1/3.
+    """
     if z == 0.0:
         raise ValueError("optimal exponent requires z != 0")
-    return model.exponent(z)
+    k = model.fisher_slope
+    return 1.0 / (-k / model.delta_const * z * z) - 1.0 / k
 
 
 def psi_closed(model: DependenceModel, z: float, rho: float) -> float:
@@ -196,15 +239,6 @@ def psi_closed(model: DependenceModel, z: float, rho: float) -> float:
     if abs(rho) == 1.0:
         return math.copysign(gamma_ratio_endpoint(p), rho)
     return rho * gauss_2f1_half(p, rho * rho)
-
-
-def fisher(rho: float) -> float:
-    """Fisher z-transform, extended to +/-inf at the endpoints."""
-    if rho >= 1.0:
-        return math.inf
-    if rho <= -1.0:
-        return -math.inf
-    return 0.5 * math.log((1.0 + rho) / (1.0 - rho))
 
 
 def optimal_transform_closed(model: DependenceModel, z: float) -> Transform:
@@ -237,52 +271,29 @@ def transform_for(model: DependenceModel, kind: str,
     raise ValueError(f"unknown transform kind {kind!r}")
 
 
+def _delta_shape(model: DependenceModel, kind: str, t, t_ref):
+    """Delta_psi / (phi(z) g(rho)) as a function of t = z^2 (a float or an
+    array); t_ref = z_ref^2 for the optimal transform."""
+    if kind == "identity":
+        return t + model.delta_const
+    if kind == "fisher":
+        return (1.0 - model.fisher_slope) * t + model.delta_const
+    if kind == "optimal":
+        # -B (t/t_ref - 1) is exactly 0.0 at t = t_ref
+        return -model.delta_const * (t / t_ref - 1.0)
+    raise ValueError(f"unsupported transform kind {kind!r}")
+
+
 def delta_closed(model: DependenceModel, kind: str, z: float, rho: float,
                  z_ref: float | None = None) -> float:
     """Closed-form leading error term Delta_psi(z), phi(z) factor included."""
-    t = z * z
-    if model.name == "bvn":
-        if kind == "identity":
-            shape = 0.5 * rho * (2.0 * t - 1.0)
-        elif kind == "fisher":
-            shape = -0.5 * rho
-        elif kind == "optimal":
-            if z_ref is None:
-                raise ValueError("delta_closed(optimal) requires z_ref")
-            shape = 0.5 * rho * (t / (z_ref * z_ref) - 1.0)
-        else:
-            raise ValueError(f"unsupported transform kind {kind!r}")
-    elif model.name == "squarev":
-        base = rho / (3.0 * math.sqrt(1.0 - rho * rho))
-        if kind == "identity":
-            shape = base * (t - 1.0)
-        elif kind == "fisher":
-            shape = -base * (2.0 * t + 1.0)
-        elif kind == "optimal":
-            if z_ref is None:
-                raise ValueError("delta_closed(optimal) requires z_ref")
-            shape = base * (t / (z_ref * z_ref) - 1.0)
-        else:
-            raise ValueError(f"unsupported transform kind {kind!r}")
-    else:
-        raise ValueError(f"no closed form for model {model.name!r}")
-    return shape * normal_pdf(z)
-
-
-def _delta_shape(model: DependenceModel, kind: str, t: float,
-                 t_alpha: float) -> float:
-    """Delta / (phi(z) * odd-rho factor) as a function of t = z^2."""
-    if model.name == "bvn":
-        if kind == "identity":
-            return 0.5 * (2.0 * t - 1.0)
-        if kind == "fisher":
-            return -0.5
-        return 0.5 * (t / t_alpha - 1.0)
-    if kind == "identity":
-        return t - 1.0
-    if kind == "fisher":
-        return -(2.0 * t + 1.0)
-    return t / t_alpha - 1.0
+    t_ref = None
+    if kind == "optimal":
+        if z_ref is None:
+            raise ValueError("delta_closed(optimal) requires z_ref")
+        t_ref = z_ref * z_ref
+    shape = _delta_shape(model, kind, z * z, t_ref)
+    return model.odd_factor(rho) * shape * normal_pdf(z)
 
 
 def dominance_range(model: DependenceModel, alpha: float,
@@ -296,15 +307,16 @@ def dominance_range(model: DependenceModel, alpha: float,
         raise ValueError("competitor must be identity or fisher")
     t_alpha = normal_quantile(1.0 - alpha) ** 2
 
-    def gap(t: float) -> float:
+    def gap(t):
         return (abs(_delta_shape(model, "optimal", t, t_alpha))
                 - abs(_delta_shape(model, competitor, t, t_alpha)))
 
     # gap < 0 where the optimal transform dominates; it is piecewise linear
-    # in t, so bisection between grid sign changes is exact enough.
+    # in t (a float or an array), so bisection between grid sign changes is
+    # exact enough.
     t_lo_cap, t_hi_cap = 1e-8, 50.0
     grid = np.linspace(t_lo_cap, t_hi_cap, 20_001)
-    vals = np.array([gap(t) for t in grid])
+    vals = gap(grid)
     if gap(t_alpha) >= 0.0:
         raise RuntimeError("optimal transform must dominate at its own alpha")
 
@@ -343,35 +355,15 @@ def fisher_dominance_threshold(model: DependenceModel) -> float:
     """Largest alpha whose alpha-optimal transform beats Fisher's transform
     in |Delta(z_beta)| at every level beta in (0, 0.5); 0.0 if none does.
 
-    Works in t = z_beta^2, where both error shapes are piecewise linear:
-    dominance over all beta requires gap < 0 on a bounded window plus a
-    non-positive slope difference beyond the last breakpoint (the beta
-    parametrization underflows long before the tail behavior is settled).
+    In t = z_beta^2, with B < 0 and k >= 1 (both models), the gap
+    |Delta_optimal| - |Delta_fisher| per phi |g| is negative on
+    0 < t <= t_alpha and equals (|B|/t_alpha - (k - 1)) t - 2|B| beyond it,
+    so dominance at every level holds exactly when t_alpha >= |B| / (k - 1).
     """
-    def dominates_all(alpha: float) -> bool:
-        t_alpha = normal_quantile(1.0 - alpha) ** 2
-        T = 10.0 * max(t_alpha, 1.0)
-
-        def gap(t: float) -> float:
-            return (abs(_delta_shape(model, "optimal", t, t_alpha))
-                    - abs(_delta_shape(model, "fisher", t, t_alpha)))
-
-        if any(gap(t) >= 0.0 for t in np.linspace(1e-8, T, 2001)[1:]):
-            return False
-        return gap(T + 1.0) - gap(T) <= 0.0
-
-    lo, hi = 1e-6, 0.5 - 1e-6
-    if not dominates_all(lo):
+    if model.fisher_slope <= 1.0:
         return 0.0
-    if dominates_all(hi):
-        return hi
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if dominates_all(mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    t_min = -model.delta_const / (model.fisher_slope - 1.0)
+    return 1.0 - normal_cdf(math.sqrt(t_min))
 
 
 @lru_cache(maxsize=None)
@@ -401,31 +393,24 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     dpsi_rho = t.dpsi(rho)
     total = 0.0
     for n11 in range(n + 1):
-        for n1m in range(n - n11 + 1):
-            for nm1 in range(n - n11 - n1m + 1):
-                nmm = n - n11 - n1m - nm1
-                r = _squarev_r(n11, n1m, nm1, nmm, n)
-                psi_r = t.psi(r)
-                if math.isinf(psi_r):
-                    tau_val = psi_r
-                else:
-                    tau_val = (psi_r - psi_rho) * sqrt_n / (dpsi_rho * sigma)
-                if tau_val > z_alpha:
-                    logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
-                            + n11 * logs[0] + n1m * logs[1]
-                            + nm1 * logs[2] + nmm * logs[3])
-                    total += math.exp(logp)
+        # one n11 slice at a time keeps the arrays at O(n^2) entries
+        rest = n - n11
+        counts = np.arange(rest + 1)
+        n1ms, nm1s = np.nonzero(np.add.outer(counts, counts) <= rest)
+        nmms = rest - n1ms - nm1s
+        r_slice = r_from_sums(n, n11 + n1ms - nm1s - nmms,
+                              n11 - n1ms + nm1s - nmms, n, n,
+                              n11 - n1ms - nm1s + nmms)
+        for n1m, nm1, nmm, r in zip(n1ms.tolist(), nm1s.tolist(),
+                                    nmms.tolist(), r_slice.tolist()):
+            psi_r = t.psi(r)
+            if math.isinf(psi_r):
+                tau_val = psi_r
+            else:
+                tau_val = (psi_r - psi_rho) * sqrt_n / (dpsi_rho * sigma)
+            if tau_val > z_alpha:
+                logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
+                        + n11 * logs[0] + n1m * logs[1]
+                        + nm1 * logs[2] + nmm * logs[3])
+                total += math.exp(logp)
     return min(1.0, total)
-
-
-def _squarev_r(n11: int, n1m: int, nm1: int, nmm: int, n: int) -> float:
-    """Pearson R of a four-vertex sample given its cell counts."""
-    ybar = (n11 + n1m - nm1 - nmm) / n
-    zbar = (n11 - n1m + nm1 - nmm) / n
-    yzbar = (n11 - n1m - nm1 + nmm) / n
-    vy = 1.0 - ybar * ybar
-    vz = 1.0 - zbar * zbar
-    if vy <= 0.0 or vz <= 0.0:
-        return 0.0
-    r = (yzbar - ybar * zbar) / math.sqrt(vy * vz)
-    return min(1.0, max(-1.0, r))

@@ -12,16 +12,17 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import models as _models
-from .pearson import Transform
+from .pearson import Transform, r_from_sums
 from .specfun import normal_quantile
 
 __all__ = [
+    "ConfigError",
     "ExperimentGrid",
     "CellResult",
     "mix64",
@@ -29,6 +30,7 @@ __all__ = [
     "run_cell",
     "aggregate",
     "predicted_relative_error",
+    "worker_pool_width",
     "run_grid",
 ]
 
@@ -54,6 +56,10 @@ def substream(master_seed: int, cell_index: int, worker_index: int
     """Counter-based generator for one (cell, worker) pair."""
     key = mix64(master_seed, cell_index, worker_index)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+class ConfigError(ValueError):
+    """The run's environment is malformed; raised before any sampling."""
 
 
 @dataclass(frozen=True)
@@ -117,49 +123,16 @@ def _rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     return 0.5 * (lo + hi)
 
 
-def _batch_r(model_name: str, rho: float, rows: int, n: int,
-             rng: np.random.Generator) -> np.ndarray:
-    """Pearson R for `rows` independent samples of size n; shape (rows,)."""
-    if model_name == "bvn":
-        y = rng.standard_normal((rows, n))
-        y1 = rng.standard_normal((rows, n))
-        z = rho * y + math.sqrt(1.0 - rho * rho) * y1
-        sy = y.sum(axis=1)
-        sz = z.sum(axis=1)
-        syy = np.einsum("ij,ij->i", y, y)
-        szz = np.einsum("ij,ij->i", z, z)
-        syz = np.einsum("ij,ij->i", y, z)
-    else:
-        u = rng.random((rows, n))
-        c0 = (1.0 + rho) / 4.0
-        c2 = (3.0 - rho) / 4.0
-        y = np.where(u < 0.5, 1.0, -1.0)
-        z = np.where((u < c0) | ((u >= 0.5) & (u < c2)), 1.0, -1.0)
-        sy = y.sum(axis=1)
-        sz = z.sum(axis=1)
-        syy = np.full(rows, float(n))
-        szz = syy
-        syz = np.einsum("ij,ij->i", y, z)
-    my = sy / n
-    mz = sz / n
-    vy = syy / n - my * my
-    vz = szz / n - mz * mz
-    cov = syz / n - my * mz
-    denom2 = np.maximum(vy, 0.0) * np.maximum(vz, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom2 > 0.0, cov / np.sqrt(denom2), 0.0)
-    return np.clip(r, -1.0, 1.0)
-
-
-def _cell_counts(model_name: str, thresholds: list[float], rho: float,
-                 n: int, N: int, rng: np.random.Generator) -> list[int]:
+def _cell_counts(model: _models.DependenceModel, thresholds: list[float],
+                 rho: float, n: int, N: int, rng: np.random.Generator
+                 ) -> list[int]:
     """Rejection counts for each threshold over N samples of size n."""
     rows_per_chunk = max(1, _CHUNK_PAIRS // n)
     counts = [0] * len(thresholds)
     done = 0
     while done < N:
         rows = min(rows_per_chunk, N - done)
-        r = _batch_r(model_name, rho, rows, n, rng)
+        r = r_from_sums(n, *model.batch_sums(rho, rows, n, rng))
         for i, cut in enumerate(thresholds):
             if math.isfinite(cut):
                 counts[i] += int(np.count_nonzero(r > cut))
@@ -177,7 +150,7 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
         raise ValueError("n must be >= 2")
     sigma = model.sigma(rho)
     cut = _rejection_threshold(transform, rho, sigma, n, alpha)
-    counts = _cell_counts(model.name, [cut], rho, n, N, rng)
+    counts = _cell_counts(model, [cut], rho, n, N, rng)
     return counts[0] / N
 
 
@@ -214,15 +187,32 @@ def _worker_task(args: tuple) -> tuple[int, int, list[int]]:
         t = _models.transform_for(model, kind, z_alpha)
         cuts.append(_rejection_threshold(t, rho, sigma, n, alpha))
     rng = substream(master_seed, cell_index, worker_index)
-    counts = _cell_counts(model_name, cuts, rho, n, N, rng)
+    counts = _cell_counts(model, cuts, rho, n, N, rng)
     return cell_index, worker_index, counts
 
 
-def worker_pool_width() -> int:
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def worker_pool_width(tasks: int | None = None) -> int:
+    """Worker processes for a run: CORRTRANS_THREADS (default: all usable
+    CPUs), clamped to the usable CPUs and to the number of tasks."""
+    width = _usable_cpus()
     env = os.environ.get(THREADS_ENV)
     if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+        try:
+            width = min(width, max(1, int(env)))
+        except ValueError:
+            raise ConfigError(
+                f"{THREADS_ENV} must be an integer, got {env!r}") from None
+    if tasks is not None:
+        width = min(width, max(1, tasks))
+    return width
 
 
 def run_grid(grid: ExperimentGrid
@@ -236,9 +226,9 @@ def run_grid(grid: ExperimentGrid
         for ci, (alpha, rho, n) in enumerate(cells)
         for k in range(grid.K)
     ]
-    width = worker_pool_width()
+    width = worker_pool_width(len(tasks))
     counts: dict[tuple[int, int], list[int]] = {}
-    if width == 1 or len(tasks) == 1:
+    if width == 1:
         for task in tasks:
             ci, k, c = _worker_task(task)
             counts[(ci, k)] = c

@@ -22,6 +22,7 @@ __all__ = [
     "DegenerateModelError",
     "identity_transform",
     "fisher_transform",
+    "r_from_sums",
     "pearson_r",
     "sigma_rho",
     "skew_lambda",
@@ -85,20 +86,30 @@ def fisher_transform() -> Transform:
     )
 
 
+def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
+    """Pearson R of samples of size n from their sums of Y, Z, Y^2, Z^2, YZ.
+
+    Vectorised over the sums.  R := 0 where the denominator is not
+    positive (a sample with constant Y or Z); R is clipped to [-1, 1].
+    """
+    my = sy / n
+    mz = sz / n
+    vy = syy / n - my * my
+    vz = szz / n - mz * mz
+    cov = syz / n - my * mz
+    denom2 = np.maximum(vy, 0.0) * np.maximum(vz, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(denom2 > 0.0, cov / np.sqrt(denom2), 0.0)
+    return np.clip(r, -1.0, 1.0)
+
+
 def pearson_r(samples: Sequence[tuple[float, float]]) -> float:
     """Sample correlation of the given pairs; 0 on a zero denominator."""
     if len(samples) < 2:
         raise ValueError("pearson_r requires at least 2 sample pairs")
     arr = np.asarray(samples, dtype=float)
     y, z = arr[:, 0], arr[:, 1]
-    my, mz = y.mean(), z.mean()
-    vy = (y * y).mean() - my * my
-    vz = (z * z).mean() - mz * mz
-    denom = math.sqrt(max(vy, 0.0)) * math.sqrt(max(vz, 0.0))
-    if denom <= 0.0:
-        return 0.0
-    r = ((y * z).mean() - my * mz) / denom
-    return float(min(1.0, max(-1.0, r)))
+    return float(r_from_sums(len(arr), y.sum(), z.sum(), y @ y, z @ z, y @ z))
 
 
 def sigma_rho(m: MomentSpec, rho: float) -> float:
@@ -261,31 +272,18 @@ def tau(t: Transform, r_value: float, rho: float, sigma: float, n: int) -> float
     return num * math.sqrt(n) / (t.dpsi(rho) * sigma)
 
 
-_FD_STEP = 1e-5  # central-difference step for the Hessian of f_rho
-
-
-def _f_rho(rho: float, v: np.ndarray) -> float:
-    d1 = 1.0 + v[2] - v[0] * v[0]
-    d2 = 1.0 + v[3] - v[1] * v[1]
-    if d1 <= 0.0 or d2 <= 0.0:
-        return 0.0
-    return (rho + v[4] - v[0] * v[1]) / (math.sqrt(d1) * math.sqrt(d2)) - rho
-
-
-def _hessian_fd(rho: float, dim: int = 5, step: float = _FD_STEP) -> np.ndarray:
-    H = np.zeros((dim, dim))
-    for i in range(dim):
-        ei = np.zeros(dim)
-        ei[i] = step
-        H[i, i] = (_f_rho(rho, ei) + _f_rho(rho, -ei)) / step ** 2
-        for j in range(i + 1, dim):
-            ej = np.zeros(dim)
-            ej[j] = step
-            H[i, j] = H[j, i] = (
-                _f_rho(rho, ei + ej) - _f_rho(rho, ei - ej)
-                - _f_rho(rho, -ei + ej) + _f_rho(rho, -ei - ej)
-            ) / (4.0 * step ** 2)
-    return 0.5 * (H + H.T)
+def _hessian(rho: float) -> np.ndarray:
+    """Hessian at 0 of R - rho = f(v), v the mean of the score vector
+    V = (Y, Z, Y^2 - 1, Z^2 - 1, YZ - rho), where
+    f(v) = (rho + v4 - v0 v1) / sqrt((1 + v2 - v0^2)(1 + v3 - v1^2)) - rho.
+    """
+    return np.array([
+        [rho, -1.0, 0.0, 0.0, 0.0],
+        [-1.0, rho, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.75 * rho, 0.25 * rho, -0.5],
+        [0.0, 0.0, 0.25 * rho, 0.75 * rho, -0.5],
+        [0.0, 0.0, -0.5, -0.5, 0.0],
+    ])
 
 
 def assemble_statistic_model(m: MomentSpec, rho: float) -> edgeworth.EdgeworthModel:
@@ -302,11 +300,10 @@ def assemble_statistic_model(m: MomentSpec, rho: float) -> edgeworth.EdgeworthMo
          mu(2, 2) - rho * rho],
     ])
     L = np.array([0.0, 0.0, -rho / 2.0, -rho / 2.0, 1.0])
-    H = _hessian_fd(rho)
     return edgeworth.EdgeworthModel(
         dim=5,
         L=L,
-        H=H,
+        H=_hessian(rho),
         Sigma=Sigma,
         sigma=sigma_rho(m, rho),
         skew=skew_lambda(m, rho),

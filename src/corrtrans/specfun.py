@@ -1,13 +1,15 @@
-"""Self-contained special functions and integration kernels.
+"""Special functions and integration kernels.
 
-Everything here is a pure function of its arguments and depends only on
-``math``/``numpy`` primitives (exp, log, sqrt), so the rest of the library
-is insulated from platform math library differences.
+Everything here is a pure function of its arguments.  The normal cdf and
+quantile and log-gamma come from the standard library (``math.erfc``,
+``statistics.NormalDist``, ``math.lgamma``) behind this module's argument
+checks; the hypergeometric value, quadrature and ODE stepper are our own.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,8 +27,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_PI = 5.6418958354775628695e-1
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_STD_NORMAL = statistics.NormalDist()
 
 
 @dataclass(frozen=True)
@@ -48,114 +50,6 @@ class IntegrationError(RuntimeError):
     """Adaptive integrator or ODE stepper failed to converge."""
 
 
-# ---------------------------------------------------------------------------
-# Error function (Cody's rational approximations, abs error < 1e-15)
-# ---------------------------------------------------------------------------
-
-_ERF_A = (
-    3.16112374387056560e00,
-    1.13864154151050156e02,
-    3.77485237685302021e02,
-    3.20937758913846947e03,
-    1.85777706184603153e-1,
-)
-_ERF_B = (
-    2.36012909523441209e01,
-    2.44024637934444173e02,
-    1.28261652607737228e03,
-    2.84423683343917062e03,
-)
-_ERFC_C = (
-    5.64188496988670089e-1,
-    8.88314979438837594e00,
-    6.61191906371416295e01,
-    2.98635138197400131e02,
-    8.81952221241769090e02,
-    1.71204761263407058e03,
-    2.05107837782607147e03,
-    1.23033935479799725e03,
-    2.15311535474403846e-8,
-)
-_ERFC_D = (
-    1.57449261107098347e01,
-    1.17693950891312499e02,
-    5.37181101862009858e02,
-    1.62138957456669019e03,
-    3.29079923573345963e03,
-    4.36261909014324716e03,
-    3.43936767414372164e03,
-    1.23033935480374942e03,
-)
-_ERFC_P = (
-    3.05326634961232344e-1,
-    3.60344899949804439e-1,
-    1.25781726111229246e-1,
-    1.60837851487422766e-2,
-    6.58749161529837803e-4,
-    1.63153871373020978e-2,
-)
-_ERFC_Q = (
-    2.56852019228982242e00,
-    1.87295284992346047e00,
-    5.27905102951428412e-1,
-    6.05183413124413191e-2,
-    2.33520497626869185e-3,
-)
-
-
-def _erf_small(x: float) -> float:
-    # |x| <= 0.46875
-    y = abs(x)
-    z = y * y
-    num = _ERF_A[4] * z
-    den = z
-    for i in range(3):
-        num = (num + _ERF_A[i]) * z
-        den = (den + _ERF_B[i]) * z
-    return x * (num + _ERF_A[3]) / (den + _ERF_B[3])
-
-
-def _erfc_mid(y: float) -> float:
-    # 0.46875 < y <= 4
-    num = _ERFC_C[8] * y
-    den = y
-    for i in range(7):
-        num = (num + _ERFC_C[i]) * y
-        den = (den + _ERFC_D[i]) * y
-    result = (num + _ERFC_C[7]) / (den + _ERFC_D[7])
-    ysq = math.floor(y * 16.0) / 16.0
-    del2 = (y - ysq) * (y + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-del2) * result
-
-
-def _erfc_large(y: float) -> float:
-    # y > 4
-    z = 1.0 / (y * y)
-    num = _ERFC_P[5] * z
-    den = z
-    for i in range(4):
-        num = (num + _ERFC_P[i]) * z
-        den = (den + _ERFC_Q[i]) * z
-    result = z * (num + _ERFC_P[4]) / (den + _ERFC_Q[4])
-    result = (_INV_SQRT_PI - result) / y
-    ysq = math.floor(y * 16.0) / 16.0
-    del2 = (y - ysq) * (y + ysq)
-    return math.exp(-ysq * ysq) * math.exp(-del2) * result
-
-
-def _erfc(x: float) -> float:
-    y = abs(x)
-    if y <= 0.46875:
-        return 1.0 - _erf_small(x)
-    if y <= 4.0:
-        val = _erfc_mid(y)
-    elif y < 26.5:
-        val = _erfc_large(y)
-    else:
-        val = 0.0
-    return val if x > 0.0 else 2.0 - val
-
-
 def normal_pdf(z: float) -> float:
     """Standard normal density phi(z)."""
     if not math.isfinite(z):
@@ -164,116 +58,24 @@ def normal_pdf(z: float) -> float:
 
 
 def normal_cdf(z: float) -> float:
-    """Standard normal cdf Phi(z); absolute error below 1e-12 on |z| <= 8."""
+    """Standard normal cdf Phi(z); Phi(+/-inf) = 1, 0."""
     if math.isnan(z):
         raise ValueError("normal_cdf: z is NaN")
-    if z == math.inf:
-        return 1.0
-    if z == -math.inf:
-        return 0.0
-    return 0.5 * _erfc(-z / _SQRT2)
-
-
-# Acklam's rational approximation, polished by Newton steps below.
-_QNT_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_QNT_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_QNT_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_QNT_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _quantile_guess(p: float) -> float:
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        a, b, c, d, e, f = _QNT_C
-        return (((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((_QNT_D[0] * q + _QNT_D[1]) * q + _QNT_D[2]) * q + _QNT_D[3]) * q + 1.0
-        )
-    if p > 1.0 - p_low:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        a, b, c, d, e, f = _QNT_C
-        return -(((((a * q + b) * q + c) * q + d) * q + e) * q + f) / (
-            (((_QNT_D[0] * q + _QNT_D[1]) * q + _QNT_D[2]) * q + _QNT_D[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    a, b, c, d, e, f = _QNT_A
-    num = ((((a * r + b) * r + c) * r + d) * r + e) * r + f
-    den = ((((_QNT_B[0] * r + _QNT_B[1]) * r + _QNT_B[2]) * r + _QNT_B[3]) * r
-           + _QNT_B[4]) * r + 1.0
-    return q * num / den
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def normal_quantile(p: float) -> float:
     """Inverse of ``normal_cdf``; consistent with it to better than 1e-12."""
     if not 0.0 < p < 1.0:
         raise ValueError("normal_quantile requires 0 < p < 1")
-    z = _quantile_guess(p)
-    # Two Newton steps against the in-repo cdf keep cdf/quantile consistent.
-    for _ in range(2):
-        err = normal_cdf(z) - p
-        d = normal_pdf(z)
-        if d > 0.0:
-            z -= err / d
-    return z
-
-
-# ---------------------------------------------------------------------------
-# Log-gamma (Lanczos, g = 7, 9 coefficients) and the endpoint ratio
-# ---------------------------------------------------------------------------
-
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
+    return _STD_NORMAL.inv_cdf(p)
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0 (Lanczos approximation)."""
+    """ln Gamma(x) for x > 0."""
     if x <= 0.0:
         raise ValueError("log_gamma requires x > 0")
-    if x < 0.5:
-        # reflection keeps the Lanczos argument in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_C[0]
-    for i in range(1, 9):
-        acc += _LANCZOS_C[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
+    return math.lgamma(x)
 
 
 def gamma_ratio_endpoint(p: float) -> float:

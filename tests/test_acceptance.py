@@ -73,8 +73,8 @@ def test_criterion_03_two_path_delta_equality():
                 diff = abs(ed.delta(em, z)
                            - mo.delta_closed(model, "identity", z, rho))
                 worst = max(worst, diff)
-    _report(3, "moment-assembly delta equals closed-form delta to 1e-6",
-            worst <= 1e-6, f"worst |diff| = {worst:.2e}")
+    _report(3, "moment-assembly delta equals closed-form delta to 1e-12",
+            worst <= 1e-12, f"worst |diff| = {worst:.2e}")
 
 
 def test_criterion_04_leading_term_vanishes_at_design_level():

@@ -6,6 +6,7 @@ import pytest
 
 from corrtrans import cli
 from corrtrans import models as mo
+from corrtrans import montecarlo as mc
 from corrtrans.specfun import normal_quantile
 
 
@@ -163,3 +164,50 @@ class TestSimulateAndTable:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text("{not json")
         assert run(capsys, "simulate", "--config", str(cfg_path))[0] == 1
+
+
+class TestSimulateValidatesFirst:
+    BASE = {"model": "squarev", "alphas": [0.05], "rhos": [0.5], "ns": [10],
+            "N": 100, "K": 2, "master_seed": 3}
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("run_grid called on a bad config")
+        monkeypatch.setattr(cli.mc, "run_grid", refuse)
+
+    def simulate(self, capsys, tmp_path, **changes):
+        out = tmp_path / "run.csv"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {**self.BASE, "output_path": str(out), **changes}))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert not out.exists()
+        return code, err
+
+    @pytest.mark.parametrize("changes", [
+        {"alphas": [0.7]},
+        {"ns": [1]},
+        {"N": 0},
+        {"model": "trivariate"},
+        {"transforms": ["probit"]},
+        {"format": "xml"},
+    ])
+    def test_bad_config_is_usage_error(self, capsys, tmp_path, changes):
+        code, err = self.simulate(capsys, tmp_path, **changes)
+        assert code == 1
+        assert "numeric failure" not in err
+
+
+class TestThreadsVariable:
+    def test_non_integer_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv(mc.THREADS_ENV, "two")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "model": "bvn", "alphas": [0.05], "rhos": [0.5], "ns": [10],
+            "N": 10, "K": 1, "master_seed": 1,
+            "output_path": str(tmp_path / "run.csv")}))
+        code, _, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 1
+        assert mc.THREADS_ENV in err
+        assert not (tmp_path / "run.csv").exists()

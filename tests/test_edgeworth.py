@@ -27,7 +27,7 @@ class TestCoefficients:
 
     def test_a1_bvn_assembly(self):
         m = pe.assemble_statistic_model(mo.BVN.moments, 0.5)
-        assert ed.coeff_a1(m) == pytest.approx(-0.25, abs=1e-5)
+        assert ed.coeff_a1(m) == pytest.approx(-0.25, abs=1e-12)
 
     def test_a3_zero_hessian(self):
         m = simple_model([1, 0], np.zeros((2, 2)), np.eye(2))
@@ -40,7 +40,7 @@ class TestCoefficients:
 
     def test_a3_bvn_assembly(self):
         m = pe.assemble_statistic_model(mo.BVN.moments, 0.5)
-        assert ed.coeff_a3(m) == pytest.approx(-0.5, abs=1e-5)
+        assert ed.coeff_a3(m) == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestDelta:
@@ -52,7 +52,7 @@ class TestDelta:
     def test_bvn_closed_form(self):
         m = pe.assemble_statistic_model(mo.BVN.moments, 0.5)
         expected = 0.25 * normal_pdf(1.0)
-        assert ed.delta(m, 1.0) == pytest.approx(expected, abs=1e-6)
+        assert ed.delta(m, 1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_bvn_rho_zero(self):
         m = pe.assemble_statistic_model(mo.BVN.moments, 0.0)

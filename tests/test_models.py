@@ -172,10 +172,25 @@ class TestPsiClosed:
 
 class TestFisher:
     def test_values(self):
-        assert mo.fisher(0.0) == 0.0
-        assert mo.fisher(0.5) == pytest.approx(0.549306, abs=1e-6)
-        assert mo.fisher(1.0) == math.inf
-        assert mo.fisher(-1.0) == -math.inf
+        fisher = pe.fisher_transform().psi
+        assert fisher(0.0) == 0.0
+        assert fisher(0.5) == pytest.approx(0.549306, abs=1e-6)
+        assert fisher(1.0) == math.inf
+        assert fisher(-1.0) == -math.inf
+
+
+class TestOptimalExponent:
+    def test_paper_exponents(self):
+        # BVN: p_z = 1/(2z^2) - 1; SquareV: q_z = 1/(3z^2) - 1/3
+        for z in (0.3, 1 / math.sqrt(2), 1.0, Z05, Z01, -2.0, 10.0):
+            assert mo.optimal_exponent(mo.BVN, z) == pytest.approx(
+                1 / (2 * z ** 2) - 1, rel=1e-15, abs=1e-15)
+            assert mo.optimal_exponent(mo.SQUAREV, z) == pytest.approx(
+                1 / (3 * z ** 2) - 1 / 3, rel=1e-15, abs=1e-15)
+
+    def test_rejects_z_zero(self):
+        with pytest.raises(ValueError):
+            mo.optimal_exponent(mo.SQUAREV, 0.0)
 
 
 class TestDeltaClosed:
@@ -226,15 +241,79 @@ class TestDominanceRange:
             mo.dominance_range(mo.BVN, 0.7, "identity")
 
 
+def _fisher_dominance_threshold_numeric(model):
+    # bisection on alpha; dominance over all beta is checked in t = z_beta^2
+    # on a window plus the slope of the gap beyond it
+    def dominates_all(alpha):
+        t_alpha = normal_quantile(1.0 - alpha) ** 2
+        T = 10.0 * max(t_alpha, 1.0)
+
+        def gap(t):
+            return (abs(mo._delta_shape(model, "optimal", t, t_alpha))
+                    - abs(mo._delta_shape(model, "fisher", t, t_alpha)))
+
+        if any(gap(t) >= 0.0 for t in np.linspace(1e-8, T, 2001)[1:]):
+            return False
+        return gap(T + 1.0) - gap(T) <= 0.0
+
+    lo, hi = 1e-6, 0.5 - 1e-6
+    if not dominates_all(lo):
+        return 0.0
+    if dominates_all(hi):
+        return hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if dominates_all(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestFisherDominanceThreshold:
     def test_squarev(self):
         # boundary where z_alpha = 1/sqrt(2)
         got = mo.fisher_dominance_threshold(mo.SQUAREV)
         assert got == pytest.approx(1 - normal_cdf(1 / math.sqrt(2)),
-                                    abs=1e-6)
+                                    abs=1e-15)
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    def test_matches_numeric_search(self, model):
+        assert mo.fisher_dominance_threshold(model) == pytest.approx(
+            _fisher_dominance_threshold_numeric(model), abs=1e-15)
 
     def test_bvn_never_dominates_everywhere(self):
         assert mo.fisher_dominance_threshold(mo.BVN) == 0.0
+
+
+def _squarev_r(n11, n1m, nm1, nmm, n):
+    # Pearson R of a four-vertex sample from its cell counts, one at a time
+    ybar = (n11 + n1m - nm1 - nmm) / n
+    zbar = (n11 - n1m + nm1 - nmm) / n
+    yzbar = (n11 - n1m - nm1 + nmm) / n
+    vy = 1.0 - ybar * ybar
+    vz = 1.0 - zbar * zbar
+    if vy <= 0.0 or vz <= 0.0:
+        return 0.0
+    r = (yzbar - ybar * zbar) / math.sqrt(vy * vz)
+    return min(1.0, max(-1.0, r))
+
+
+class TestSquarevR:
+    def test_kernel_matches_scalar_oracle_bitwise(self):
+        # every count vector for n <= 30, including the degenerate ones
+        # where every Y or every Z is equal (R := 0)
+        for n in range(1, 31):
+            vecs = np.array([(a, b, c, n - a - b - c)
+                             for a in range(n + 1)
+                             for b in range(n - a + 1)
+                             for c in range(n - a - b + 1)])
+            n11, n1m, nm1, nmm = vecs.T
+            got = pe.r_from_sums(n, n11 + n1m - nm1 - nmm,
+                                 n11 - n1m + nm1 - nmm, n, n,
+                                 n11 - n1m - nm1 + nmm)
+            want = [_squarev_r(*map(int, v), n) for v in vecs]
+            assert np.array_equal(got, want), n
 
 
 class TestSquarevExactRejection:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -123,6 +124,42 @@ class TestPredictedRelativeError:
         a = mc.predicted_relative_error(mo.BVN, "fisher", 0.05, 0.5, 100)
         b = mc.predicted_relative_error(mo.BVN, "fisher", 0.05, 0.5, 10_000)
         assert a == pytest.approx(10 * b, abs=1e-12)
+
+
+class TestWorkerPoolWidth:
+    # never starts a process: the CPU count is patched and the width read
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+
+    @pytest.mark.parametrize("env, tasks, width", [
+        (None, None, 4),
+        ("", None, 4),
+        ("2", None, 2),
+        ("0", None, 1),
+        ("-3", None, 1),
+        ("1000000", None, 4),
+        ("1000000", 3, 3),
+        (None, 2, 2),
+        ("3", 100, 3),
+        (None, 0, 1),
+    ])
+    def test_clamped(self, monkeypatch, env, tasks, width):
+        if env is None:
+            monkeypatch.delenv(mc.THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(mc.THREADS_ENV, env)
+        assert mc.worker_pool_width(tasks) == width
+
+    @pytest.mark.parametrize("env", ["two", "1.5", "4 cores"])
+    def test_non_integer_names_the_variable(self, monkeypatch, env):
+        monkeypatch.setenv(mc.THREADS_ENV, env)
+        with pytest.raises(mc.ConfigError, match=mc.THREADS_ENV):
+            mc.worker_pool_width()
+
+
+def test_usable_cpus_within_cpu_count():
+    assert 1 <= mc._usable_cpus() <= (os.cpu_count() or 1)
 
 
 class TestRunGrid:

@@ -181,7 +181,39 @@ class TestTau:
             pe.tau(pe.identity_transform(), 1.5, 0.0, 1.0, 10)
 
 
+def _f_rho(rho, v):
+    # R - rho as a function of the mean score vector v
+    d1 = 1.0 + v[2] - v[0] * v[0]
+    d2 = 1.0 + v[3] - v[1] * v[1]
+    if d1 <= 0.0 or d2 <= 0.0:
+        return 0.0
+    return (rho + v[4] - v[0] * v[1]) / (math.sqrt(d1) * math.sqrt(d2)) - rho
+
+
+def _hessian_fd(rho, dim=5, step=1e-5):
+    # central differences of _f_rho at 0
+    H = np.zeros((dim, dim))
+    for i in range(dim):
+        ei = np.zeros(dim)
+        ei[i] = step
+        H[i, i] = (_f_rho(rho, ei) + _f_rho(rho, -ei)) / step ** 2
+        for j in range(i + 1, dim):
+            ej = np.zeros(dim)
+            ej[j] = step
+            H[i, j] = H[j, i] = (
+                _f_rho(rho, ei + ej) - _f_rho(rho, ei - ej)
+                - _f_rho(rho, -ei + ej) + _f_rho(rho, -ei - ej)
+            ) / (4.0 * step ** 2)
+    return 0.5 * (H + H.T)
+
+
 class TestAssembleStatisticModel:
+    def test_hessian_matches_finite_differences(self):
+        for rho in np.linspace(-0.99, 0.99, 199):
+            H = pe.assemble_statistic_model(mo.BVN.moments, rho).H
+            assert np.array_equal(H, H.T)
+            assert np.max(np.abs(H - _hessian_fd(rho))) < 1e-5, rho
+
     def test_sigma_field_consistent(self):
         for rho in (0.1, 0.5, 0.9):
             m = pe.assemble_statistic_model(mo.SQUAREV.moments, rho)
