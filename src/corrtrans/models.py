@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -22,7 +21,9 @@ from .pearson import (
     fisher_transform,
     identity_transform,
     r_from_sums,
+    rejection_threshold,
     sigma_rho,
+    tau,
 )
 from .specfun import (
     gamma_ratio_endpoint,
@@ -300,55 +301,31 @@ def dominance_range(model: DependenceModel, alpha: float,
                     competitor: str) -> BetaInterval:
     """Maximal beta-interval on which the alpha-optimal transform beats the
     competitor ("identity" or "fisher") in |Delta(z_beta)|; rho-independent.
+
+    In t = z_beta^2, with B < 0 (both models), the optimal shape is
+    |B| (t/t_alpha - 1) and the competitor's is c t - |B| (c = 1 for
+    identity, 1 - k for Fisher).  Their absolute values are equal only at
+    t = 0 and at t_x = 2|B| / (c + |B|/t_alpha), or t_x = inf when that
+    denominator is not positive, so the optimal transform wins on the side
+    of t_x that holds t_alpha.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
     if competitor not in ("identity", "fisher"):
         raise ValueError("competitor must be identity or fisher")
     t_alpha = normal_quantile(1.0 - alpha) ** 2
-
-    def gap(t):
-        return (abs(_delta_shape(model, "optimal", t, t_alpha))
-                - abs(_delta_shape(model, competitor, t, t_alpha)))
-
-    # gap < 0 where the optimal transform dominates; it is piecewise linear
-    # in t (a float or an array), so bisection between grid sign changes is
-    # exact enough.
-    t_lo_cap, t_hi_cap = 1e-8, 50.0
-    grid = np.linspace(t_lo_cap, t_hi_cap, 20_001)
-    vals = gap(grid)
-    if gap(t_alpha) >= 0.0:
-        raise RuntimeError("optimal transform must dominate at its own alpha")
-
-    def bisect(lo: float, hi: float) -> float:
-        flo = gap(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fmid = gap(mid)
-            if abs(fmid) < 1e-12:
-                return mid
-            if (flo < 0.0) == (fmid < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    idx = int(np.searchsorted(grid, t_alpha))
-    # expand left from t_alpha to the nearest sign change
-    lo_t = t_lo_cap
-    for i in range(idx - 1, 0, -1):
-        if vals[i] >= 0.0:
-            lo_t = bisect(grid[i], grid[i + 1])
-            break
-    hi_t = t_hi_cap
-    for i in range(idx, len(grid) - 1):
-        if vals[i + 1] >= 0.0:
-            hi_t = bisect(grid[i + 1], grid[i])
-            break
-    # map t = z_beta^2 back to beta = 1 - Phi(sqrt(t)); order reverses
-    beta_hi = 0.5 if lo_t <= t_lo_cap else 1.0 - normal_cdf(math.sqrt(lo_t))
-    beta_lo = 0.0 if hi_t >= t_hi_cap else 1.0 - normal_cdf(math.sqrt(hi_t))
-    return BetaInterval(beta_lo, beta_hi)
+    if _delta_shape(model, competitor, t_alpha, None) == 0.0:
+        raise ValueError(f"{competitor} is itself optimal at alpha={alpha}")
+    b = -model.delta_const
+    c = _delta_shape(model, competitor, 1.0, None) + b  # shape is c t - |B|
+    denom = c + b / t_alpha
+    t_x = 2.0 * b / denom if denom > 0.0 else math.inf
+    # map t = z_beta^2 back to beta = 1 - Phi(sqrt(t)) = Phi(-sqrt(t)), which
+    # keeps its relative precision at small beta; order reverses
+    beta_x = normal_cdf(-math.sqrt(t_x))
+    if t_alpha < t_x:
+        return BetaInterval(beta_x, 0.5)
+    return BetaInterval(0.0, beta_x)
 
 
 def fisher_dominance_threshold(model: DependenceModel) -> float:
@@ -366,9 +343,9 @@ def fisher_dominance_threshold(model: DependenceModel) -> float:
     return 1.0 - normal_cdf(math.sqrt(t_min))
 
 
-@lru_cache(maxsize=None)
-def _log_factorials(n: int) -> tuple[float, ...]:
-    return tuple(log_gamma(k + 1.0) for k in range(n + 1))
+# An atom whose R lies this close to r* is decided by tau itself, so that
+# the rounding of r* cannot flip an atom that sits on the threshold.
+_TIE_BAND = 1e-9
 
 
 def squarev_exact_rejection(rho: float, n: int, t: Transform,
@@ -376,41 +353,42 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     """Exact rejection probability of the one-sided test under SquareV.
 
     Enumerates all multinomial cell-count vectors over the four vertices,
-    computes R (value 0 on a degenerate denominator) and tau with the true
-    sigma = sqrt(1 - rho^2), and sums the probabilities of tau > z_alpha.
+    computes R (value 0 on a degenerate denominator) and sums the
+    probabilities of the atoms with R > r*, the threshold of tau > z_alpha
+    with the true sigma = sqrt(1 - rho^2).  Atoms within _TIE_BAND of r* are
+    decided by tau.
     """
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"exact enumeration requires -1 < rho < 1, "
+                         f"got rho={rho}")
     if n > 200:
         raise ValueError("exact enumeration limited to n <= 200")
     if n < 1:
         raise ValueError("n must be >= 1")
-    probs = _squarev_probs(rho)
-    logs = np.log(np.maximum(probs, 1e-300))
-    lf = _log_factorials(n)
+    logs = np.log(_squarev_probs(rho))
+    lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
     z_alpha = normal_quantile(1.0 - alpha)
     sigma = math.sqrt(1.0 - rho * rho)
-    sqrt_n = math.sqrt(n)
-    psi_rho = t.psi(rho)
-    dpsi_rho = t.dpsi(rho)
-    total = 0.0
-    for n11 in range(n + 1):
-        # one n11 slice at a time keeps the arrays at O(n^2) entries
-        rest = n - n11
-        counts = np.arange(rest + 1)
-        n1ms, nm1s = np.nonzero(np.add.outer(counts, counts) <= rest)
-        nmms = rest - n1ms - nm1s
-        r_slice = r_from_sums(n, n11 + n1ms - nm1s - nmms,
-                              n11 - n1ms + nm1s - nmms, n, n,
-                              n11 - n1ms - nm1s + nmms)
-        for n1m, nm1, nmm, r in zip(n1ms.tolist(), nm1s.tolist(),
-                                    nmms.tolist(), r_slice.tolist()):
-            psi_r = t.psi(r)
-            if math.isinf(psi_r):
-                tau_val = psi_r
-            else:
-                tau_val = (psi_r - psi_rho) * sqrt_n / (dpsi_rho * sigma)
-            if tau_val > z_alpha:
-                logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
-                        + n11 * logs[0] + n1m * logs[1]
-                        + nm1 * logs[2] + nmm * logs[3])
-                total += math.exp(logp)
-    return min(1.0, total)
+    # r* = inf when not even R = 1 rejects; capped at 1, the atoms at R = 1
+    # fall in the tie band and tau decides them
+    r_star = min(rejection_threshold(t, rho, sigma, n, alpha), 1.0)
+
+    def rejected_probabilities():
+        for n11 in range(n + 1):
+            # one n11 slice at a time keeps the arrays at O(n^2) entries
+            rest = n - n11
+            counts = np.arange(rest + 1)
+            n1m, nm1 = np.nonzero(np.add.outer(counts, counts) <= rest)
+            nmm = rest - n1m - nm1
+            r = r_from_sums(n, n11 + n1m - nm1 - nmm, n11 - n1m + nm1 - nmm,
+                            n, n, n11 - n1m - nm1 + nmm)
+            reject = r > r_star
+            for i in np.flatnonzero(np.abs(r - r_star) <= _TIE_BAND):
+                reject[i] = tau(t, float(r[i]), rho, sigma, n) > z_alpha
+            n1m, nm1, nmm = n1m[reject], nm1[reject], nmm[reject]
+            logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
+                    + n11 * logs[0] + n1m * logs[1]
+                    + nm1 * logs[2] + nmm * logs[3])
+            yield from np.exp(logp).tolist()
+
+    return min(1.0, math.fsum(rejected_probabilities()))

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from . import models as _models
-from .pearson import Transform, r_from_sums
+from .pearson import Transform, r_from_sums, rejection_threshold
 from .specfun import normal_quantile
 
 __all__ = [
@@ -101,28 +101,6 @@ class CellResult:
     eps_se: float                    # eps_sd / sqrt(K)
 
 
-def _rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
-                         alpha: float) -> float:
-    """Critical value r* such that tau > z_alpha iff R > r*.
-
-    psi is strictly increasing, so the tau test inverts to a one-sided test
-    on R itself; returns +inf when no attainable R rejects.
-    """
-    z_alpha = normal_quantile(1.0 - alpha)
-    cut = t.psi(rho) + z_alpha * t.dpsi(rho) * sigma / math.sqrt(n)
-    psi_top = t.psi(1.0)
-    if cut >= psi_top:
-        return math.inf
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if t.psi(mid) > cut:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def _cell_counts(model: _models.DependenceModel, thresholds: list[float],
                  rho: float, n: int, N: int, rng: np.random.Generator
                  ) -> list[int]:
@@ -149,7 +127,7 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
     if n < 2:
         raise ValueError("n must be >= 2")
     sigma = model.sigma(rho)
-    cut = _rejection_threshold(transform, rho, sigma, n, alpha)
+    cut = rejection_threshold(transform, rho, sigma, n, alpha)
     counts = _cell_counts(model, [cut], rho, n, N, rng)
     return counts[0] / N
 
@@ -185,7 +163,7 @@ def _worker_task(args: tuple) -> tuple[int, int, list[int]]:
     cuts = []
     for kind in transforms:
         t = _models.transform_for(model, kind, z_alpha)
-        cuts.append(_rejection_threshold(t, rho, sigma, n, alpha))
+        cuts.append(rejection_threshold(t, rho, sigma, n, alpha))
     rng = substream(master_seed, cell_index, worker_index)
     counts = _cell_counts(model, cuts, rho, n, N, rng)
     return cell_index, worker_index, counts

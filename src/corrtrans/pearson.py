@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import edgeworth
-from .specfun import Tolerance, integrate_ode, normal_pdf
+from .specfun import Tolerance, integrate_ode, normal_pdf, normal_quantile
 
 __all__ = [
     "MomentSpec",
@@ -31,6 +31,7 @@ __all__ = [
     "optimal_transform_numeric",
     "delta_psi",
     "tau",
+    "rejection_threshold",
     "assemble_statistic_model",
 ]
 
@@ -258,18 +259,50 @@ def delta_psi(m: MomentSpec, t: Transform, rho: float, z: float) -> float:
     return delta_r - correction
 
 
+def _checked_dpsi(t: Transform, rho: float, sigma: float) -> float:
+    """psi'(rho), after checking that the scale psi'(rho) sigma of the tau
+    statistic is positive (it underflows for steep optimal transforms)."""
+    dpsi = t.dpsi(rho)
+    if not dpsi * sigma > 0.0:
+        raise DegenerateModelError(
+            f"psi'(rho) sigma = {dpsi} * {sigma} is not positive at rho={rho}")
+    return dpsi
+
+
 def tau(t: Transform, r_value: float, rho: float, sigma: float, n: int) -> float:
     """Asymptotically standardized value of psi(R): use tau > z_alpha to reject."""
     if not -1.0 <= r_value <= 1.0:
         raise ValueError("r_value must lie in [-1, 1]")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
     if n < 1:
         raise ValueError("n must be >= 1")
+    dpsi = _checked_dpsi(t, rho, sigma)
     num = t.psi(r_value) - t.psi(rho)
     if math.isinf(num):
         return num
-    return num * math.sqrt(n) / (t.dpsi(rho) * sigma)
+    return num * math.sqrt(n) / (dpsi * sigma)
+
+
+def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
+                        alpha: float) -> float:
+    """Critical value r* such that tau > z_alpha iff R > r*.
+
+    psi is strictly increasing, so the tau test inverts to a one-sided test
+    on R itself; returns +inf when no attainable R rejects.
+    """
+    z_alpha = normal_quantile(1.0 - alpha)
+    dpsi = _checked_dpsi(t, rho, sigma)
+    cut = t.psi(rho) + z_alpha * dpsi * sigma / math.sqrt(n)
+    psi_top = t.psi(1.0)
+    if cut >= psi_top:
+        return math.inf
+    lo, hi = -1.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if t.psi(mid) > cut:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _hessian(rho: float) -> np.ndarray:

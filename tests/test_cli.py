@@ -66,6 +66,16 @@ class TestRangesCommand:
         assert code == 2
         assert "numeric failure" in err
 
+    def test_identity_optimal_level_is_numeric_failure(self, capsys):
+        # t_alpha = 1 = |B|: the identity is the SquareV optimal transform
+        code, _, err = run(capsys, "ranges", "--model", "squarev",
+                           "--alpha", "0.15865525393145707", "--vs",
+                           "identity")
+        assert code == 2
+        assert err.splitlines() == [
+            "numeric failure: identity is itself optimal at "
+            "alpha=0.15865525393145707"]
+
 
 class TestExactCommand:
     def test_table_cell(self, capsys):
@@ -74,6 +84,21 @@ class TestExactCommand:
         assert code == 0
         eps = float(out.splitlines()[1].split("=")[1])
         assert abs(eps - 0.125) < 5 * 0.00110
+
+    def test_rho_at_the_boundary_is_numeric_failure(self, capsys):
+        code, _, err = run(capsys, "exact", "--rho", "1", "--n", "10",
+                           "--alpha", "0.05", "--transform", "identity")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "rho=1.0" in err
+
+    def test_underflowing_scale_is_numeric_failure(self, capsys):
+        # at alpha = 0.49 the optimal exponent is 530 and psi'(0.99) = 0.0
+        code, _, err = run(capsys, "exact", "--rho", "0.99", "--n", "10",
+                           "--alpha", "0.49", "--transform", "optimal")
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "not positive" in err
 
 
 class TestExitCodes:

@@ -7,6 +7,7 @@ from corrtrans import models as mo
 from corrtrans import pearson as pe
 from corrtrans.specfun import (
     gamma_ratio_endpoint,
+    log_gamma,
     normal_cdf,
     normal_pdf,
     normal_quantile,
@@ -240,6 +241,84 @@ class TestDominanceRange:
         with pytest.raises(ValueError):
             mo.dominance_range(mo.BVN, 0.7, "identity")
 
+    def test_rejects_level_where_identity_is_optimal(self):
+        # t_alpha = 1 = |B|: the SquareV optimal transform is R itself
+        with pytest.raises(ValueError, match="identity is itself optimal"):
+            mo.dominance_range(mo.SQUAREV, 0.15865525393145707, "identity")
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("competitor", ["identity", "fisher"])
+    def test_matches_grid_search(self, model, competitor):
+        for alpha in np.geomspace(1e-6, 0.2, 300):
+            got = mo.dominance_range(model, alpha, competitor)
+            want = _dominance_range_grid(model, alpha, competitor)
+            assert abs(got.lo - want.lo) <= 1e-9, alpha
+            assert abs(got.hi - want.hi) <= 1e-9, alpha
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("competitor", ["identity", "fisher"])
+    def test_endpoints_are_sign_changes(self, model, competitor):
+        # up to alpha = 0.49, where t_alpha = 6e-4 is below the step of
+        # _dominance_range_grid
+        def gap(beta):
+            t = normal_quantile(beta) ** 2
+            return (abs(mo._delta_shape(model, "optimal", t, t_alpha))
+                    - abs(mo._delta_shape(model, competitor, t, t_alpha)))
+
+        for alpha in np.concatenate([np.geomspace(1e-6, 0.2, 40),
+                                     np.linspace(0.2, 0.49, 30)]):
+            t_alpha = normal_quantile(1.0 - alpha) ** 2
+            if mo._delta_shape(model, competitor, t_alpha, None) == 0.0:
+                continue
+            iv = mo.dominance_range(model, alpha, competitor)
+            assert gap(0.5 * (iv.lo + iv.hi)) < 0.0, alpha
+            for end in (iv.lo, iv.hi):
+                if 0.0 < end < 0.5:
+                    assert gap(end * (1 - 1e-9)) * gap(end * (1 + 1e-9)) < 0.0, \
+                        (alpha, end)
+
+
+def _dominance_range_grid(model, alpha, competitor):
+    # sign changes of the gap on a 20,001-point grid in t, then bisection
+    t_alpha = normal_quantile(1.0 - alpha) ** 2
+
+    def gap(t):
+        return (abs(mo._delta_shape(model, "optimal", t, t_alpha))
+                - abs(mo._delta_shape(model, competitor, t, t_alpha)))
+
+    t_lo_cap, t_hi_cap = 1e-8, 50.0
+    grid = np.linspace(t_lo_cap, t_hi_cap, 20_001)
+    vals = gap(grid)
+    assert gap(t_alpha) < 0.0
+
+    def bisect(lo, hi):
+        flo = gap(lo)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fmid = gap(mid)
+            if abs(fmid) < 1e-12:
+                return mid
+            if (flo < 0.0) == (fmid < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    idx = int(np.searchsorted(grid, t_alpha))
+    lo_t = t_lo_cap
+    for i in range(idx - 1, 0, -1):
+        if vals[i] >= 0.0:
+            lo_t = bisect(grid[i], grid[i + 1])
+            break
+    hi_t = t_hi_cap
+    for i in range(idx, len(grid) - 1):
+        if vals[i + 1] >= 0.0:
+            hi_t = bisect(grid[i + 1], grid[i])
+            break
+    beta_hi = 0.5 if lo_t <= t_lo_cap else 1.0 - normal_cdf(math.sqrt(lo_t))
+    beta_lo = 0.0 if hi_t >= t_hi_cap else 1.0 - normal_cdf(math.sqrt(hi_t))
+    return mo.BetaInterval(beta_lo, beta_hi)
+
 
 def _fisher_dominance_threshold_numeric(model):
     # bisection on alpha; dominance over all beta is checked in t = z_beta^2
@@ -286,6 +365,14 @@ class TestFisherDominanceThreshold:
         assert mo.fisher_dominance_threshold(mo.BVN) == 0.0
 
 
+def _count_vectors(n):
+    # every cell-count vector (n11, n1m, nm1, nmm) of a sample of size n
+    return np.array([(a, b, c, n - a - b - c)
+                     for a in range(n + 1)
+                     for b in range(n - a + 1)
+                     for c in range(n - a - b + 1)])
+
+
 def _squarev_r(n11, n1m, nm1, nmm, n):
     # Pearson R of a four-vertex sample from its cell counts, one at a time
     ybar = (n11 + n1m - nm1 - nmm) / n
@@ -304,16 +391,63 @@ class TestSquarevR:
         # every count vector for n <= 30, including the degenerate ones
         # where every Y or every Z is equal (R := 0)
         for n in range(1, 31):
-            vecs = np.array([(a, b, c, n - a - b - c)
-                             for a in range(n + 1)
-                             for b in range(n - a + 1)
-                             for c in range(n - a - b + 1)])
+            vecs = _count_vectors(n)
             n11, n1m, nm1, nmm = vecs.T
             got = pe.r_from_sums(n, n11 + n1m - nm1 - nmm,
                                  n11 - n1m + nm1 - nmm, n, n,
                                  n11 - n1m - nm1 + nmm)
             want = [_squarev_r(*map(int, v), n) for v in vecs]
             assert np.array_equal(got, want), n
+
+
+def _squarev_exact_rejection_loop(rho, n, t, alpha):
+    # one Python step per lattice point: tau of every atom against z_alpha,
+    # and the probabilities of the rejected atoms summed in order
+    probs = mo._squarev_probs(rho)
+    logs = np.log(np.maximum(probs, 1e-300))
+    lf = tuple(log_gamma(k + 1.0) for k in range(n + 1))
+    z_alpha = normal_quantile(1.0 - alpha)
+    sigma = math.sqrt(1.0 - rho * rho)
+    sqrt_n = math.sqrt(n)
+    psi_rho = t.psi(rho)
+    dpsi_rho = t.dpsi(rho)
+    total = 0.0
+    for n11 in range(n + 1):
+        rest = n - n11
+        counts = np.arange(rest + 1)
+        n1ms, nm1s = np.nonzero(np.add.outer(counts, counts) <= rest)
+        nmms = rest - n1ms - nm1s
+        r_slice = pe.r_from_sums(n, n11 + n1ms - nm1s - nmms,
+                                 n11 - n1ms + nm1s - nmms, n, n,
+                                 n11 - n1ms - nm1s + nmms)
+        for n1m, nm1, nmm, r in zip(n1ms.tolist(), nm1s.tolist(),
+                                    nmms.tolist(), r_slice.tolist()):
+            psi_r = t.psi(r)
+            if math.isinf(psi_r):
+                tau_val = psi_r
+            else:
+                tau_val = (psi_r - psi_rho) * sqrt_n / (dpsi_rho * sigma)
+            if tau_val > z_alpha:
+                logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
+                        + n11 * logs[0] + n1m * logs[1]
+                        + nm1 * logs[2] + nmm * logs[3])
+                total += math.exp(logp)
+    return min(1.0, total)
+
+
+def _lattice_r_values(n):
+    # the distinct values of R over all cell-count vectors of size n
+    n11, n1m, nm1, nmm = _count_vectors(n).T
+    return np.unique(pe.r_from_sums(n, n11 + n1m - nm1 - nmm,
+                                    n11 - n1m + nm1 - nmm, n, n,
+                                    n11 - n1m - nm1 + nmm)).tolist()
+
+
+KINDS = ("identity", "fisher", "optimal")
+# Levels stop at 0.4: above about 0.45 the SquareV optimal exponent exceeds
+# 20, psi is numerically flat past rho, and the lattice loop itself decides
+# on rounding.
+EXACT_ALPHAS = (0.01, 0.05, 0.24, 0.4)
 
 
 class TestSquarevExactRejection:
@@ -340,3 +474,52 @@ class TestSquarevExactRejection:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             mo.squarev_exact_rejection(0.5, 201, pe.identity_transform(), 0.05)
+
+    def test_rejects_rho_at_the_boundary(self):
+        for rho in (-1.0, 1.0):
+            with pytest.raises(ValueError, match=f"rho={rho}"):
+                mo.squarev_exact_rejection(rho, 10, pe.identity_transform(),
+                                           0.05)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_lattice_loop(self, kind):
+        for rho in (-0.95, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99):
+            for alpha in EXACT_ALPHAS:
+                t = mo.transform_for(mo.SQUAREV, kind,
+                                     normal_quantile(1.0 - alpha))
+                for n in (1, 2, 5, 10, 20, 30):
+                    got = mo.squarev_exact_rejection(rho, n, t, alpha)
+                    want = _squarev_exact_rejection_loop(rho, n, t, alpha)
+                    assert (got == 0.0) == (want == 0.0), (rho, alpha, n)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
+                        (rho, alpha, n)
+
+    # every second lattice value at n = 20 keeps the loop oracle's cost down
+    @pytest.mark.parametrize("n, stride", [(5, 1), (10, 1), (20, 2)])
+    def test_atoms_on_the_threshold(self, n, stride):
+        # alpha = 1 - Phi(tau(R0)) puts the lattice value R0 on the rejection
+        # threshold, where rounding decides between R > r* and tau > z_alpha
+        ties = 0
+        for rho in (0.0, 0.3, 0.5):
+            sigma = math.sqrt(1.0 - rho * rho)
+            for kind in KINDS:
+                for r0 in _lattice_r_values(n)[::stride]:
+                    z = 1.0
+                    # the optimal transform depends on its own level:
+                    # iterate z -> tau(R0) towards a fixed point
+                    for _ in range(20 if kind == "optimal" else 1):
+                        t = mo.transform_for(mo.SQUAREV, kind, z)
+                        z = pe.tau(t, r0, rho, sigma, n)
+                        if not 0.0 < z < math.inf:
+                            break
+                    alpha = 1.0 - normal_cdf(z)
+                    if not 0.0 < alpha <= EXACT_ALPHAS[-1]:
+                        continue
+                    t = mo.transform_for(mo.SQUAREV, kind,
+                                         normal_quantile(1.0 - alpha))
+                    got = mo.squarev_exact_rejection(rho, n, t, alpha)
+                    want = _squarev_exact_rejection_loop(rho, n, t, alpha)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
+                        (rho, kind, r0)
+                    ties += 1
+        assert ties >= 30

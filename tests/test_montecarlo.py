@@ -51,7 +51,7 @@ class TestRejectionThreshold:
         for kind in ("identity", "fisher", "optimal"):
             t = mo.transform_for(mo.BVN, kind, z)
             sigma = mo.BVN.sigma(0.5)
-            cut = mc._rejection_threshold(t, 0.5, sigma, 100, 0.05)
+            cut = pe.rejection_threshold(t, 0.5, sigma, 100, 0.05)
             for dr in (1e-6, 1e-3):
                 assert pe.tau(t, cut + dr, 0.5, sigma, 100) > z
                 assert pe.tau(t, cut - dr, 0.5, sigma, 100) < z
@@ -60,8 +60,16 @@ class TestRejectionThreshold:
         t = pe.identity_transform()
         # rho = 0.9, n = 2: cut beyond psi(1) = 1
         sigma = mo.BVN.sigma(0.9)
-        cut = mc._rejection_threshold(t, 0.9, sigma, 2, 0.05)
+        cut = pe.rejection_threshold(t, 0.9, sigma, 2, 0.05)
         assert cut == math.inf
+
+    def test_underflowing_scale_fails_the_cell(self):
+        # psi'(0.99) underflows to 0 for the SquareV optimal transform at
+        # alpha = 0.49, which would put r* at rho
+        t = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.51))
+        with pytest.raises(pe.DegenerateModelError):
+            mc.run_cell(mo.SQUAREV, t, 0.49, 0.99, 10, 1,
+                        np.random.default_rng(0))
 
 
 class TestAggregate:

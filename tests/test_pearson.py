@@ -180,6 +180,17 @@ class TestTau:
         with pytest.raises(ValueError):
             pe.tau(pe.identity_transform(), 1.5, 0.0, 1.0, 10)
 
+    def test_rejects_non_positive_scale(self):
+        # psi'(rho) sigma = 0: sigma = 0, or psi'(rho) underflows (the
+        # SquareV optimal exponent is 530 at alpha = 0.49)
+        steep = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.51))
+        for t, rho, sigma in ((pe.identity_transform(), 0.5, 0.0),
+                              (steep, 0.99, 0.14)):
+            with pytest.raises(pe.DegenerateModelError):
+                pe.tau(t, 0.5, rho, sigma, 10)
+            with pytest.raises(pe.DegenerateModelError):
+                pe.rejection_threshold(t, rho, sigma, 10, 0.49)
+
 
 def _f_rho(rho, v):
     # R - rho as a function of the mean score vector v
