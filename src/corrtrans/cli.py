@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,8 +55,7 @@ class RunConfig:
             N=int(raw["N"]),
             K=int(raw["K"]),
             master_seed=int(raw["master_seed"]),
-            transforms=tuple(raw.get("transforms",
-                                     ("identity", "fisher", "optimal"))),
+            transforms=tuple(raw.get("transforms", mo.TRANSFORM_KINDS)),
             output_path=raw["output_path"],
             format=raw.get("format", "csv"),
         )
@@ -92,8 +92,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("delta", help="leading error term for a transform")
     p.add_argument("--model", required=True)
-    p.add_argument("--transform", required=True,
-                   choices=["identity", "fisher", "optimal"])
+    p.add_argument("--transform", required=True, choices=mo.TRANSFORM_KINDS)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--z-ref", type=float, default=None)
@@ -107,8 +106,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--transform", required=True,
-                   choices=["identity", "fisher", "optimal"])
+    p.add_argument("--transform", required=True, choices=mo.TRANSFORM_KINDS)
 
     p = sub.add_parser("simulate", help="run a grid from a JSON config")
     p.add_argument("--config", required=True)
@@ -128,8 +126,9 @@ def _cmd_transform(args, digits: int) -> None:
     model = mo.get_model(args.model)
     z = args.z if args.z is not None else normal_quantile(1.0 - args.alpha)
     t = mo.optimal_transform_closed(model, z)
-    print(f"psi({_fmt(args.rho, digits)}) = {_fmt(t.psi(args.rho), digits)}")
-    print(f"psi'({_fmt(args.rho, digits)}) = {_fmt(t.dpsi(args.rho), digits)}")
+    psi, dpsi = t.psi(args.rho), t.dpsi(args.rho)
+    print(f"psi({_fmt(args.rho, digits)}) = {_fmt(psi, digits)}")
+    print(f"psi'({_fmt(args.rho, digits)}) = {_fmt(dpsi, digits)}")
 
 
 def _cmd_delta(args, digits: int) -> None:
@@ -170,26 +169,39 @@ def _cmd_simulate(args, digits: int) -> None:
         raise _UsageError(f"bad config: {exc}")
     if cfg.format not in ("csv", "json"):
         raise _UsageError(f"unknown output format {cfg.format!r}")
-    results = mc.run_grid(grid)
-    rows = []
-    for (kind, alpha, rho, n), cell in sorted(results.items()):
-        hat_mean = math.fsum(cell.alpha_hats) / len(cell.alpha_hats)
-        rows.append({
-            "model": cfg.model, "transform": kind, "alpha": alpha,
-            "rho": rho, "n": n, "N": cfg.N, "K": cfg.K,
-            "seed": cfg.master_seed, "eps_mean": repr(cell.eps_mean),
-            "eps_sd": repr(cell.eps_sd), "eps_se": repr(cell.eps_se),
-            "alpha_hat_mean": repr(hat_mean),
-        })
+    # the rows go to a temporary file in the output's directory, renamed
+    # onto the output once complete, so no run leaves a half-written file;
+    # creating it first finds a missing or unwritable directory before sampling
     out = Path(cfg.output_path)
-    if cfg.format == "csv":
-        with open(out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-            writer.writeheader()
-            writer.writerows(rows)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+    if out.is_dir():
+        raise _UsageError(f"output_path is a directory: {out}")
+    tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
+    try:
+        tmp.touch()
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out}: {exc.strerror}")
+    try:
+        rows = []
+        for (kind, alpha, rho, n), cell in sorted(mc.run_grid(grid).items()):
+            hat_mean = math.fsum(cell.alpha_hats) / len(cell.alpha_hats)
+            rows.append({
+                "model": cfg.model, "transform": kind, "alpha": alpha,
+                "rho": rho, "n": n, "N": cfg.N, "K": cfg.K,
+                "seed": cfg.master_seed, "eps_mean": repr(cell.eps_mean),
+                "eps_sd": repr(cell.eps_sd), "eps_se": repr(cell.eps_se),
+                "alpha_hat_mean": repr(hat_mean),
+            })
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            if cfg.format == "csv":
+                writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
+                writer.writeheader()
+                writer.writerows(rows)
+            else:
+                json.dump(rows, fh, indent=2)
+        os.replace(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     print(f"wrote {len(rows)} rows to {out}")
 
 
@@ -262,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (IntegrationError, pe.DegenerateModelError, ValueError,
-            OverflowError) as exc:
+            ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -2,9 +2,14 @@
 
 BVN: bivariate normal with standardized marginals.  SquareV: the four-point
 law on the vertices of [-1, 1]^2 with cell probabilities (1 +/- rho)/4.
-Both come with closed-form joint moments, seeded samplers, closed-form
+Both come with closed-form joint moments, seeded draws of R, closed-form
 optimal transforms, closed-form leading error terms, dominance ranges, and
 (for SquareV) an exact small-n rejection oracle.
+
+R depends on a sample only through a few sums, so each model draws those
+instead of n pairs: for BVN the centred scatter matrix, which is
+Wishart(Sigma, n - 1), by the Bartlett decomposition (three draws); for
+SquareV the cell counts, which are Multinomial(n, p(rho)).
 """
 
 from __future__ import annotations
@@ -42,9 +47,7 @@ __all__ = [
     "get_model",
     "bvn_moments",
     "squarev_moments",
-    "sample_bvn",
-    "sample_squarev",
-    "sample_squarev_via_bvn",
+    "TRANSFORM_KINDS",
     "optimal_exponent",
     "psi_closed",
     "optimal_transform_closed",
@@ -54,6 +57,8 @@ __all__ = [
     "fisher_dominance_threshold",
     "squarev_exact_rejection",
 ]
+
+TRANSFORM_KINDS = ("identity", "fisher", "optimal")
 
 _BVN_M = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0)  # N(0,1) raw moments 0..6
 
@@ -85,72 +90,42 @@ def _check_orders(i: int, j: int) -> None:
         raise ValueError("moment orders must satisfy 0 <= i, j and i + j <= 6")
 
 
-def sample_bvn(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n pairs (Y, Z) with Z = rho Y + sqrt(1 - rho^2) Y1; shape (n, 2)."""
-    y = rng.standard_normal(n)
-    y1 = rng.standard_normal(n)
-    z = rho * y + math.sqrt(1.0 - rho * rho) * y1
-    return np.column_stack([y, z])
-
-
-# cell order: (1,1), (1,-1), (-1,1), (-1,-1)
-_SQUAREV_Y = np.array([1.0, 1.0, -1.0, -1.0])
-_SQUAREV_Z = np.array([1.0, -1.0, 1.0, -1.0])
-
-
 def _squarev_probs(rho: float) -> np.ndarray:
+    """Cell probabilities in the order (1,1), (1,-1), (-1,1), (-1,-1)."""
     p_same = (1.0 + rho) / 4.0
     p_diff = (1.0 - rho) / 4.0
     return np.array([p_same, p_diff, p_diff, p_same])
 
 
-def sample_squarev(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n pairs from the vertex law via inverse-cdf on one uniform per pair."""
-    cum = np.cumsum(_squarev_probs(rho))
-    cells = np.searchsorted(cum, rng.random(n), side="right")
-    cells = np.minimum(cells, 3)
-    return np.column_stack([_SQUAREV_Y[cells], _SQUAREV_Z[cells]])
+def _squarev_r(n: int, n11, n1m, nm1, nmm) -> np.ndarray:
+    """R of SquareV samples of size n from their cell counts (arrays)."""
+    return r_from_sums(n, n11 + n1m - nm1 - nmm, n11 - n1m + nm1 - nmm,
+                       n, n, n11 - n1m - nm1 + nmm)
 
 
-def sample_squarev_via_bvn(rho: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Alternate path: signs of a BVN pair with theta = cos(pi (1 - rho) / 2)."""
-    theta = math.cos(math.pi * (1.0 - rho) / 2.0)
-    uv = sample_bvn(theta, n, rng)
-    out = np.where(uv >= 0.0, 1.0, -1.0)
-    return out
+def _bvn_sample_r(rho: float, rows: int, n: int, rng: np.random.Generator
+                  ) -> np.ndarray:
+    # Bartlett: the centred scatter matrix is L T T' L' with Sigma = L L',
+    # T lower triangular, T11^2 ~ chi2(n-1), T22^2 ~ chi2(n-2), T21 ~ N(0,1);
+    # chi2(k) is drawn as 2 Gamma(k/2) because chisquare refuses k = 0
+    c1sq = 2.0 * rng.standard_gamma((n - 1) / 2.0, rows)
+    c2sq = 2.0 * rng.standard_gamma((n - 2) / 2.0, rows)
+    g = rng.standard_normal(rows)
+    c1 = np.sqrt(c1sq)
+    s2 = 1.0 - rho * rho
+    x = rho * c1 + math.sqrt(s2) * g
+    return r_from_sums(n, 0.0, 0.0, c1sq, x * x + s2 * c2sq, c1 * x)
 
 
-def _bvn_batch_sums(rho: float, rows: int, n: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, ...]:
-    y = rng.standard_normal((rows, n))
-    y1 = rng.standard_normal((rows, n))
-    z = rho * y + math.sqrt(1.0 - rho * rho) * y1
-    sy = y.sum(axis=1)
-    sz = z.sum(axis=1)
-    syy = np.einsum("ij,ij->i", y, y)
-    szz = np.einsum("ij,ij->i", z, z)
-    syz = np.einsum("ij,ij->i", y, z)
-    return sy, sz, syy, szz, syz
-
-
-def _squarev_batch_sums(rho: float, rows: int, n: int,
-                        rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-    u = rng.random((rows, n))
-    c0 = (1.0 + rho) / 4.0
-    c2 = (3.0 - rho) / 4.0
-    y = np.where(u < 0.5, 1.0, -1.0)
-    z = np.where((u < c0) | ((u >= 0.5) & (u < c2)), 1.0, -1.0)
-    sy = y.sum(axis=1)
-    sz = z.sum(axis=1)
-    syy = np.full(rows, float(n))
-    szz = syy
-    syz = np.einsum("ij,ij->i", y, z)
-    return sy, sz, syy, szz, syz
+def _squarev_sample_r(rho: float, rows: int, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    counts = rng.multinomial(n, _squarev_probs(rho), size=rows)
+    return _squarev_r(n, *counts.T)
 
 
 @dataclass(frozen=True)
 class DependenceModel:
-    """A correlation-parametrized model: moments, samplers, closed forms.
+    """A correlation-parametrized model: moments, draws of R, closed forms.
 
     The closed forms rest on three numbers per model.  The leading error
     term of R is Delta_R(z) = phi(z) g(rho) (z^2 + B), with g = odd_factor
@@ -161,11 +136,9 @@ class DependenceModel:
 
     name: str
     moments: MomentSpec
-    sampler: Callable[[float, int, np.random.Generator], np.ndarray]
-    # (rho, rows, n, rng) -> sums of Y, Z, Y^2, Z^2, YZ over each of `rows`
-    # samples of size n, for r_from_sums
-    batch_sums: Callable[[float, int, int, np.random.Generator],
-                         tuple[np.ndarray, ...]]
+    # (rho, rows, n, rng) -> R of `rows` samples of size n, drawn from the
+    # statistics R depends on, at O(1) cost per sample
+    sample_r: Callable[[float, int, int, np.random.Generator], np.ndarray]
     odd_factor: Callable[[float], float]
     delta_const: float
     fisher_slope: float
@@ -189,8 +162,7 @@ class BetaInterval:
 BVN = DependenceModel(
     name="bvn",
     moments=MomentSpec(bvn_moments),
-    sampler=sample_bvn,
-    batch_sums=_bvn_batch_sums,
+    sample_r=_bvn_sample_r,
     odd_factor=lambda rho: rho,
     delta_const=-0.5,
     fisher_slope=1.0,
@@ -199,8 +171,7 @@ BVN = DependenceModel(
 SQUAREV = DependenceModel(
     name="squarev",
     moments=MomentSpec(squarev_moments),
-    sampler=sample_squarev,
-    batch_sums=_squarev_batch_sums,
+    sample_r=_squarev_sample_r,
     odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
     delta_const=-1.0,
     fisher_slope=3.0,
@@ -380,8 +351,7 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
             counts = np.arange(rest + 1)
             n1m, nm1 = np.nonzero(np.add.outer(counts, counts) <= rest)
             nmm = rest - n1m - nm1
-            r = r_from_sums(n, n11 + n1m - nm1 - nmm, n11 - n1m + nm1 - nmm,
-                            n, n, n11 - n1m - nm1 + nmm)
+            r = _squarev_r(n, n11, n1m, nm1, nmm)
             reject = r > r_star
             for i in np.flatnonzero(np.abs(r - r_star) <= _TIE_BAND):
                 reject[i] = tau(t, float(r[i]), rho, sigma, n) > z_alpha

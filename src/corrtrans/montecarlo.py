@@ -4,7 +4,9 @@ Each grid cell (alpha, rho, n) is simulated by K workers; worker k of cell c
 uses a Philox substream keyed by an avalanche mix of (master_seed, c, k), so
 results are bit-identical regardless of scheduling or process count.  All
 transforms requested for a cell are evaluated on the same samples, as one
-would do on a shared simulation budget.
+would do on a shared simulation budget.  A worker draws its N values of R in
+one call to the model's `sample_r`, which costs O(1) per sample whatever n
+is, so memory grows as O(N) per task.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import models as _models
-from .pearson import Transform, r_from_sums, rejection_threshold
+from .pearson import Transform, rejection_threshold
 from .specfun import normal_quantile
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
 ]
 
 THREADS_ENV = "CORRTRANS_THREADS"
-_CHUNK_PAIRS = 1 << 22  # fixed chunking policy keeps draws deterministic
 
 
 def mix64(*parts: int) -> int:
@@ -73,7 +74,7 @@ class ExperimentGrid:
     N: int                           # samples per cell per worker; 10**6
     K: int = 12                      # workers per cell
     master_seed: int = 0
-    transforms: tuple[str, ...] = ("identity", "fisher", "optimal")
+    transforms: tuple[str, ...] = _models.TRANSFORM_KINDS
 
     def __post_init__(self) -> None:
         if self.N < 1 or self.K < 1:
@@ -84,7 +85,7 @@ class ExperimentGrid:
             raise ValueError("all sample sizes must be >= 2")
         _models.get_model(self.model)
         for kind in self.transforms:
-            if kind not in ("identity", "fisher", "optimal"):
+            if kind not in _models.TRANSFORM_KINDS:
                 raise ValueError(f"unknown transform kind {kind!r}")
 
     def cells(self) -> list[tuple[float, float, int]]:
@@ -105,17 +106,8 @@ def _cell_counts(model: _models.DependenceModel, thresholds: list[float],
                  rho: float, n: int, N: int, rng: np.random.Generator
                  ) -> list[int]:
     """Rejection counts for each threshold over N samples of size n."""
-    rows_per_chunk = max(1, _CHUNK_PAIRS // n)
-    counts = [0] * len(thresholds)
-    done = 0
-    while done < N:
-        rows = min(rows_per_chunk, N - done)
-        r = r_from_sums(n, *model.batch_sums(rho, rows, n, rng))
-        for i, cut in enumerate(thresholds):
-            if math.isfinite(cut):
-                counts[i] += int(np.count_nonzero(r > cut))
-        done += rows
-    return counts
+    r = model.sample_r(rho, N, n, rng)
+    return [int(np.count_nonzero(r > cut)) for cut in thresholds]
 
 
 def run_cell(model: _models.DependenceModel, transform: Transform,

@@ -105,12 +105,17 @@ def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
 
 
 def pearson_r(samples: Sequence[tuple[float, float]]) -> float:
-    """Sample correlation of the given pairs; 0 on a zero denominator."""
+    """Sample correlation of the given pairs; 0 on a zero denominator.
+
+    The columns are centred before the products are summed, so a mean much
+    larger than the spread does not cancel the variances away.
+    """
     if len(samples) < 2:
         raise ValueError("pearson_r requires at least 2 sample pairs")
     arr = np.asarray(samples, dtype=float)
+    arr = arr - arr.mean(axis=0)
     y, z = arr[:, 0], arr[:, 1]
-    return float(r_from_sums(len(arr), y.sum(), z.sum(), y @ y, z @ z, y @ z))
+    return float(r_from_sums(len(arr), 0.0, 0.0, y @ y, z @ z, y @ z))
 
 
 def sigma_rho(m: MomentSpec, rho: float) -> float:

@@ -10,7 +10,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from corrtrans import edgeworth as ed
 from corrtrans import models as mo
@@ -147,7 +146,6 @@ def test_criterion_07_exact_oracle_reproduces_table():
             "rows within 5 spreads", ok, "eps = " + ", ".join(details))
 
 
-@pytest.mark.slow
 def test_criterion_08_desk_scale_monte_carlo():
     # reduced-budget rerun of three reference cells: N = 1e5 x K = 8
     # against tables computed at N = 1e6 x K = 12, so the reference

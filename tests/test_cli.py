@@ -117,6 +117,20 @@ class TestExitCodes:
         assert run(capsys, "simulate", "--config",
                    str(tmp_path / "nope.json"))[0] == 1
 
+    @pytest.mark.parametrize("argv", [
+        # psi'(1) = 0.0 ** p with p < 0
+        ("transform", "--model", "bvn", "--alpha", "0.05", "--rho", "1"),
+        # SquareV's g(rho) divides by sqrt(1 - rho^2)
+        ("delta", "--model", "squarev", "--transform", "optimal",
+         "--rho", "1", "--z", "1", "--z-ref", "1.645"),
+    ])
+    def test_rho_one_is_numeric_failure(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:")
+
 
 class TestSimulateAndTable:
     @pytest.fixture()
@@ -210,6 +224,20 @@ class TestSimulateValidatesFirst:
         assert not out.exists()
         return code, err
 
+    def test_missing_output_directory_is_usage_error(self, capsys, tmp_path):
+        missing = tmp_path / "missing" / "run.csv"
+        code, err = self.simulate(capsys, tmp_path, output_path=str(missing))
+        assert code == 1
+        assert "cannot write" in err
+        assert not missing.parent.exists()
+
+    def test_directory_as_output_is_usage_error(self, capsys, tmp_path):
+        code, err = self.simulate(capsys, tmp_path, output_path=str(tmp_path))
+        assert code == 1
+        assert "is a directory" in err
+        assert not any(p.name.endswith(".tmp")
+                       for p in tmp_path.parent.iterdir())
+
     @pytest.mark.parametrize("changes", [
         {"alphas": [0.7]},
         {"ns": [1]},
@@ -222,6 +250,30 @@ class TestSimulateValidatesFirst:
         code, err = self.simulate(capsys, tmp_path, **changes)
         assert code == 1
         assert "numeric failure" not in err
+
+
+class TestSimulateWritesAtomically:
+    def test_failed_write_keeps_the_old_output(self, capsys, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        out = tmp_path / "run.csv"
+        out.write_text("previous results\n")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "model": "squarev", "alphas": [0.05], "rhos": [0.5], "ns": [10],
+            "N": 100, "K": 2, "master_seed": 3, "output_path": str(out)}))
+
+        class BreaksMidWrite(csv.DictWriter):
+            def writerows(self, rows):
+                self.writerow(rows[0])
+                raise OSError("disk full")
+
+        monkeypatch.setattr(cli.csv, "DictWriter", BreaksMidWrite)
+        with pytest.raises(OSError, match="disk full"):
+            cli.main(["simulate", "--config", str(cfg_path)])
+        assert out.read_bytes() == b"previous results\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "run.csv"]
 
 
 class TestThreadsVariable:

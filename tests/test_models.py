@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -11,6 +12,11 @@ from corrtrans.specfun import (
     normal_cdf,
     normal_pdf,
     normal_quantile,
+)
+from direct_samplers import (
+    sample_bvn,
+    sample_squarev,
+    sample_squarev_via_bvn,
 )
 
 Z05 = normal_quantile(0.95)
@@ -83,22 +89,22 @@ class TestSquarevMoments:
 
 class TestSamplers:
     def test_bvn_determinism(self):
-        a = mo.sample_bvn(0.5, 1000, np.random.Generator(np.random.Philox(key=5)))
-        b = mo.sample_bvn(0.5, 1000, np.random.Generator(np.random.Philox(key=5)))
+        a = sample_bvn(0.5, 1000, np.random.Generator(np.random.Philox(key=5)))
+        b = sample_bvn(0.5, 1000, np.random.Generator(np.random.Philox(key=5)))
         assert np.array_equal(a, b)
 
     def test_bvn_calibration(self):
         rng = np.random.Generator(np.random.Philox(key=11))
-        yz = mo.sample_bvn(0.0, 1_000_000, rng)
+        yz = sample_bvn(0.0, 1_000_000, rng)
         r = pe.pearson_r(yz)
         assert abs(r) < 4 / math.sqrt(1_000_000)
         rng = np.random.Generator(np.random.Philox(key=12))
-        yz = mo.sample_bvn(0.9, 1_000_000, rng)
+        yz = sample_bvn(0.9, 1_000_000, rng)
         assert abs(yz[:, 0].mean()) < 4 / math.sqrt(1_000_000)
 
     def test_squarev_cells_uniform_at_rho0(self):
         rng = np.random.Generator(np.random.Philox(key=21))
-        yz = mo.sample_squarev(0.0, 1_000_000, rng)
+        yz = sample_squarev(0.0, 1_000_000, rng)
         for ys, zs in [(1, 1), (1, -1), (-1, 1), (-1, -1)]:
             frac = np.mean((yz[:, 0] == ys) & (yz[:, 1] == zs))
             assert abs(frac - 0.25) < 4 * math.sqrt(0.25 * 0.75 / 1_000_000)
@@ -106,9 +112,10 @@ class TestSamplers:
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])
     def test_moment_cross_validation(self, rho):
         n = 1_000_000
-        for model, key in ((mo.BVN, 31), (mo.SQUAREV, 32)):
+        for model, sampler, key in ((mo.BVN, sample_bvn, 31),
+                                    (mo.SQUAREV, sample_squarev, 32)):
             rng = np.random.Generator(np.random.Philox(key=key))
-            yz = model.sampler(rho, n, rng)
+            yz = sampler(rho, n, rng)
             y, z = yz[:, 0], yz[:, 1]
             for (i, j) in ORDERS:
                 vals = y ** i * z ** j
@@ -121,9 +128,9 @@ class TestSamplers:
     def test_sign_transform_equivalence(self, rho):
         n = 1_000_000
         rng = np.random.Generator(np.random.Philox(key=41))
-        direct = mo.sample_squarev(rho, n, rng)
+        direct = sample_squarev(rho, n, rng)
         rng = np.random.Generator(np.random.Philox(key=42))
-        via = mo.sample_squarev_via_bvn(rho, n, rng)
+        via = sample_squarev_via_bvn(rho, n, rng)
         for ys, zs, p in [(1, 1, (1 + rho) / 4), (1, -1, (1 - rho) / 4),
                           (-1, 1, (1 - rho) / 4), (-1, -1, (1 + rho) / 4)]:
             bound = 5 * math.sqrt(p * (1 - p) / n)
@@ -392,12 +399,83 @@ class TestSquarevR:
         # where every Y or every Z is equal (R := 0)
         for n in range(1, 31):
             vecs = _count_vectors(n)
-            n11, n1m, nm1, nmm = vecs.T
-            got = pe.r_from_sums(n, n11 + n1m - nm1 - nmm,
-                                 n11 - n1m + nm1 - nmm, n, n,
-                                 n11 - n1m - nm1 + nmm)
+            got = mo._squarev_r(n, *vecs.T)
             want = [_squarev_r(*map(int, v), n) for v in vecs]
             assert np.array_equal(got, want), n
+
+
+def _chi2_sf(x, df):
+    return float(mp.gammainc(df / 2.0, x / 2.0, mp.inf, regularized=True))
+
+
+def _ks_statistic(a, b):
+    # two-sample Kolmogorov-Smirnov distance between empirical cdfs
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / len(a)
+    cdf_b = np.searchsorted(b, grid, side="right") / len(b)
+    return float(np.max(np.abs(cdf_a - cdf_b)))
+
+
+class TestSampleR:
+    """`sample_r` draws R from its sufficient statistics; these compare its
+    law with the exact SquareV lattice pmf and with per-pair BVN samples."""
+
+    @pytest.mark.parametrize("n", [2, 10, 20])
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])
+    def test_squarev_atoms_follow_the_lattice_pmf(self, rho, n):
+        vecs = _count_vectors(n)
+        lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+        logs = np.log([(1 + rho) / 4, (1 - rho) / 4, (1 - rho) / 4,
+                       (1 + rho) / 4])
+        logp = lf[n] - lf[vecs].sum(axis=1) + vecs @ logs
+        atoms, atom_of = np.unique(mo._squarev_r(n, *vecs.T),
+                                   return_inverse=True)
+        pmf = np.bincount(atom_of, weights=np.exp(logp))
+        assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
+
+        draws = 200_000
+        rng = np.random.Generator(np.random.Philox(key=51))
+        r = mo.SQUAREV.sample_r(rho, draws, n, rng)
+        index = np.minimum(np.searchsorted(atoms, r), len(atoms) - 1)
+        assert np.array_equal(atoms[index], r)  # every draw is an atom
+        observed = np.bincount(index, minlength=len(atoms))
+        expected = draws * pmf
+        # the rarest atoms share one bin with an expected count of >= 5
+        order = np.argsort(expected)
+        pooled = np.searchsorted(np.cumsum(expected[order]), 5.0) + 1
+        obs = np.append(observed[order[pooled:]],
+                        observed[order[:pooled]].sum())
+        exp = np.append(expected[order[pooled:]],
+                        expected[order[:pooled]].sum())
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        assert len(exp) >= 2
+        assert _chi2_sf(stat, len(exp) - 1) > 1e-5, (stat, len(exp))
+
+    @pytest.mark.parametrize("n", [3, 5, 20])
+    @pytest.mark.parametrize("rho", [-0.5, 0.5, 0.9])
+    def test_bvn_matches_per_pair_sampling(self, rho, n):
+        draws = 20_000
+        rng = np.random.Generator(np.random.Philox(key=61))
+        fast = mo.BVN.sample_r(rho, draws, n, rng)
+        # per-pair samples through the centred pearson_r
+        pairs = sample_bvn(rho, draws * n, rng).reshape(draws, n, 2)
+        direct = np.array([pe.pearson_r(sample) for sample in pairs])
+        # two-sample KS at level 1e-4
+        crit = math.sqrt(-math.log(0.5e-4) / 2.0) * math.sqrt(2.0 / draws)
+        assert _ks_statistic(fast, direct) < crit
+
+    @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])
+    def test_bvn_sign_law_at_n2(self, rho):
+        # at n = 2, R = sign((Y1 - Y2)(Z1 - Z2)) and the differences are
+        # BVN(rho), so P(R > 0) = 1/2 + arcsin(rho)/pi
+        draws = 200_000
+        rng = np.random.Generator(np.random.Philox(key=71))
+        r = mo.BVN.sample_r(rho, draws, 2, rng)
+        assert np.all(np.abs(np.abs(r) - 1.0) <= 1e-12)
+        p = 0.5 + math.asin(rho) / math.pi
+        hits = int(np.count_nonzero(r > 0.0))
+        assert abs(hits - draws * p) <= 5 * math.sqrt(draws * p * (1 - p))
 
 
 def _squarev_exact_rejection_loop(rho, n, t, alpha):
@@ -437,10 +515,7 @@ def _squarev_exact_rejection_loop(rho, n, t, alpha):
 
 def _lattice_r_values(n):
     # the distinct values of R over all cell-count vectors of size n
-    n11, n1m, nm1, nmm = _count_vectors(n).T
-    return np.unique(pe.r_from_sums(n, n11 + n1m - nm1 - nmm,
-                                    n11 - n1m + nm1 - nmm, n, n,
-                                    n11 - n1m - nm1 + nmm)).tolist()
+    return np.unique(mo._squarev_r(n, *_count_vectors(n).T)).tolist()
 
 
 KINDS = ("identity", "fisher", "optimal")

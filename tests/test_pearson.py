@@ -6,6 +6,7 @@ import pytest
 from corrtrans import models as mo
 from corrtrans import pearson as pe
 from corrtrans.specfun import Tolerance, normal_pdf, normal_quantile
+from direct_samplers import sample_bvn, sample_squarev
 
 Z05 = normal_quantile(0.95)
 Z01 = normal_quantile(0.99)
@@ -25,6 +26,21 @@ class TestPearsonR:
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
             pe.pearson_r([(1, 2)])
+
+    def test_large_offset_does_not_cancel(self):
+        # one-pass raw sums give 0.567 at a 1e8 shift and 0.0 at 1e9
+        for shift in (1e8, 1e9):
+            pairs = [(shift, 1), (shift + 1, 2), (shift + 2, 2.5)]
+            assert pe.pearson_r(pairs) == pytest.approx(0.9819805060619657,
+                                                        abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 100])
+    def test_matches_numpy_corrcoef_when_shifted(self, n):
+        rng = np.random.Generator(np.random.Philox(key=n))
+        for rho in (-0.7, 0.0, 0.5, 0.95):
+            yz = sample_bvn(rho, n, rng) + np.array([1e8, -3e8])
+            want = np.corrcoef(yz[:, 0], yz[:, 1])[0, 1]
+            assert pe.pearson_r(yz) == pytest.approx(want, abs=1e-12)
 
 
 class TestSigmaRho:
@@ -63,7 +79,7 @@ class TestSkewLambda:
         # E Lambda^3 estimated directly from SquareV samples
         rho = 0.5
         rng = np.random.Generator(np.random.Philox(key=13))
-        yz = mo.sample_squarev(rho, 2_000_000, rng)
+        yz = sample_squarev(rho, 2_000_000, rng)
         y, z = yz[:, 0], yz[:, 1]
         w = y * z - (rho / 2) * (y * y + z * z)
         sigma = pe.sigma_rho(mo.SQUAREV.moments, rho)
