@@ -81,6 +81,8 @@ class ExperimentGrid:
             raise ValueError("N and K must be >= 1")
         if any(not 0.0 < a < 0.5 for a in self.alphas):
             raise ValueError("all alphas must lie in (0, 0.5)")
+        if any(not -1.0 < rho < 1.0 for rho in self.rhos):
+            raise ValueError("all rhos must lie in (-1, 1)")
         if any(n < 2 for n in self.ns):
             raise ValueError("all sample sizes must be >= 2")
         _models.get_model(self.model)
@@ -146,19 +148,10 @@ def predicted_relative_error(model: _models.DependenceModel, kind: str,
     return -d / (alpha * math.sqrt(n))
 
 
-def _worker_task(args: tuple) -> tuple[int, int, list[int]]:
-    (model_name, cell_index, worker_index, master_seed,
-     alpha, rho, n, N, transforms) = args
-    model = _models.get_model(model_name)
-    z_alpha = normal_quantile(1.0 - alpha)
-    sigma = model.sigma(rho)
-    cuts = []
-    for kind in transforms:
-        t = _models.transform_for(model, kind, z_alpha)
-        cuts.append(rejection_threshold(t, rho, sigma, n, alpha))
+def _worker_task(args: tuple) -> list[int]:
+    model_name, cell_index, worker_index, master_seed, rho, n, N, cuts = args
     rng = substream(master_seed, cell_index, worker_index)
-    counts = _cell_counts(model, cuts, rho, n, N, rng)
-    return cell_index, worker_index, counts
+    return _cell_counts(_models.get_model(model_name), cuts, rho, n, N, rng)
 
 
 def _usable_cpus() -> int:
@@ -188,27 +181,29 @@ def worker_pool_width(tasks: int | None = None) -> int:
 def run_grid(grid: ExperimentGrid
              ) -> dict[tuple[str, float, float, int], CellResult]:
     """Run every (cell, worker) substream; returns results keyed by
-    (transform, alpha, rho, n).  Output is independent of scheduling."""
+    (transform, alpha, rho, n).  Output is independent of scheduling.  Each
+    cell's thresholds are computed once, before any sampling starts."""
+    model = _models.get_model(grid.model)
     cells = grid.cells()
-    tasks = [
-        (grid.model, ci, k, grid.master_seed, alpha, rho, n, grid.N,
-         grid.transforms)
-        for ci, (alpha, rho, n) in enumerate(cells)
-        for k in range(grid.K)
-    ]
+    tasks = []
+    for ci, (alpha, rho, n) in enumerate(cells):
+        z_alpha = normal_quantile(1.0 - alpha)
+        sigma = model.sigma(rho)
+        cuts = [rejection_threshold(_models.transform_for(model, kind, z_alpha),
+                                    rho, sigma, n, alpha)
+                for kind in grid.transforms]
+        tasks.extend((grid.model, ci, k, grid.master_seed, rho, n, grid.N,
+                      cuts) for k in range(grid.K))
     width = worker_pool_width(len(tasks))
-    counts: dict[tuple[int, int], list[int]] = {}
     if width == 1:
-        for task in tasks:
-            ci, k, c = _worker_task(task)
-            counts[(ci, k)] = c
+        counts = list(map(_worker_task, tasks))
     else:
         with ProcessPoolExecutor(max_workers=width) as pool:
-            for ci, k, c in pool.map(_worker_task, tasks, chunksize=1):
-                counts[(ci, k)] = c
+            counts = list(pool.map(_worker_task, tasks, chunksize=1))
     results: dict[tuple[str, float, float, int], CellResult] = {}
     for ci, (alpha, rho, n) in enumerate(cells):
         for ti, kind in enumerate(grid.transforms):
-            hats = tuple(counts[(ci, k)][ti] / grid.N for k in range(grid.K))
+            hats = tuple(counts[ci * grid.K + k][ti] / grid.N
+                         for k in range(grid.K))
             results[(kind, alpha, rho, n)] = aggregate(hats, alpha)
     return results

@@ -7,8 +7,9 @@ standardized pair (Y, Z), for orders i + j <= 6.
 
 from __future__ import annotations
 
+import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -203,15 +204,6 @@ def h_z(m: MomentSpec, rho: float, z: float) -> float:
     return delta_r_tilde(m, rho, z) / (48.0 * s ** 4 * z * z)
 
 
-@dataclass
-class _OdeCache:
-    """Monotone forward-integration cache: (rho, psi, dpsi) checkpoints."""
-
-    points: list[tuple[float, float, float]] = field(
-        default_factory=lambda: [(0.0, 0.0, 1.0)]
-    )
-
-
 def optimal_transform_numeric(
     m: MomentSpec, z: float, tol: Tolerance = Tolerance(1e-11, 1e-11, 100_000)
 ) -> Transform:
@@ -228,18 +220,18 @@ def optimal_transform_numeric(
         h = h_z(m, r, z)
         return (y[1], h * y[1])
 
-    cache = _OdeCache()
+    # (rho, psi, dpsi) checkpoints, kept sorted by rho
+    points = [(0.0, 0.0, 1.0)]
 
     def state_at(rho_abs: float) -> tuple[float, float]:
         if rho_abs > NUMERIC_RHO_LIMIT:
             raise ValueError("numeric transform valid only on |rho| <= 1 - 1e-6")
-        start = max(p for p in cache.points if p[0] <= rho_abs)
+        start = points[bisect.bisect(points, (rho_abs, math.inf)) - 1]
         if start[0] == rho_abs:
             return start[1], start[2]
         psi, dpsi = integrate_ode(rhs, start[0], (start[1], start[2]),
                                   rho_abs, tol)
-        cache.points.append((rho_abs, psi, dpsi))
-        cache.points.sort()
+        bisect.insort(points, (rho_abs, psi, dpsi))
         return psi, dpsi
 
     def psi(rho: float) -> float:
@@ -292,11 +284,17 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     """Critical value r* such that tau > z_alpha iff R > r*.
 
     psi is strictly increasing, so the tau test inverts to a one-sided test
-    on R itself; returns +inf when no attainable R rejects.
+    on R itself; returns +inf when no attainable R rejects.  Raises
+    DegenerateModelError when psi(rho) absorbs the step
+    z_alpha psi'(rho) sigma / sqrt(n) in rounding, which leaves r* undefined.
     """
     z_alpha = normal_quantile(1.0 - alpha)
     dpsi = _checked_dpsi(t, rho, sigma)
-    cut = t.psi(rho) + z_alpha * dpsi * sigma / math.sqrt(n)
+    psi_rho = t.psi(rho)
+    cut = psi_rho + z_alpha * dpsi * sigma / math.sqrt(n)
+    if cut == psi_rho and z_alpha != 0.0:
+        raise DegenerateModelError(f"psi(rho) = {psi_rho} absorbs z_alpha "
+                                   f"psi'(rho) sigma / sqrt(n) at rho={rho}")
     psi_top = t.psi(1.0)
     if cut >= psi_top:
         return math.inf

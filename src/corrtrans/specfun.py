@@ -82,9 +82,14 @@ def gamma_ratio_endpoint(p: float) -> float:
     """sqrt(pi) Gamma(p+1) / (2 Gamma(p+3/2)) = integral of (1-r^2)^p over [0,1]."""
     if p <= -1.0:
         raise ValueError("gamma_ratio_endpoint requires p > -1")
-    return 0.5 * math.exp(
-        0.5 * math.log(math.pi) + log_gamma(p + 1.0) - log_gamma(p + 1.5)
-    )
+    if p < 20.0:
+        return 0.5 * math.exp(0.5 * math.log(math.pi) + log_gamma(p + 1.0)
+                              - log_gamma(p + 1.5))
+    # Stirling's series for ln Gamma(x + 1/2) - ln Gamma(x), x = p + 1: the
+    # difference of two log-gammas this large keeps only about 1e-12
+    x, u = p + 1.0, (p + 1.0) ** -2
+    s = (1 / 8 - u * (1 / 192 - u * (1 / 640 - u * 17 / 14336))) / x
+    return 0.5 * math.sqrt(math.pi / x) * math.exp(s)
 
 
 # ---------------------------------------------------------------------------
@@ -170,35 +175,37 @@ def integrate_adaptive(
 # Gauss hypergeometric 2F1(1/2, -p; 3/2; x)
 # ---------------------------------------------------------------------------
 
-_2F1_SERIES_CUTOFF = 0.95
+
+def _positive_2f1(a: float, b: float, c: float, z: float) -> float:
+    """2F1(a, b; c; z) for a, b, c > 0 and 0 < z < 1: all terms positive."""
+    total = term = 1.0
+    for k in range(100_000):
+        term *= (a + k) * (b + k) / ((c + k) * (1.0 + k)) * z
+        total += term
+        if term < 1e-16 * total:
+            return total
+    raise IntegrationError("2F1 series did not converge in 1e5 terms")
 
 
 def gauss_2f1_half(p: float, x: float) -> float:
-    """2F1(1/2, -p; 3/2; x) for 0 <= x < 1, p > -1.
-
-    Term-recurrence series for x <= 0.95; for larger x the series converges
-    too slowly and the value is recovered from the integral representation
-    integral_0^sqrt(x) (1-r^2)^p dr / sqrt(x) by adaptive quadrature.
-    """
+    """2F1(1/2, -p; 3/2; x) = integral_0^sqrt(x) (1-r^2)^p dr / sqrt(x) for
+    0 <= x < 1, p > -1, by a series with positive terms: for x <= 1/2
+    Euler's transformation (A&S 15.3.3) (1-x)^(p+1) 2F1(1, p+3/2; 3/2; x),
+    else the incomplete-beta complement (DLMF 8.17.4), the integral over
+    [0, 1] less (1-x)^(p+1) / (2(p+1)) 2F1(p+1, 1/2; p+2; 1-x)."""
     if not 0.0 <= x < 1.0:
         raise ValueError("gauss_2f1_half requires 0 <= x < 1")
     if p <= -1.0:
         raise ValueError("gauss_2f1_half requires p > -1")
-    if x == 0.0:
+    if x == 0.0 or p == 0.0:
         return 1.0
-    if x <= _2F1_SERIES_CUTOFF:
-        total = term = 1.0
-        for k in range(100_000):
-            term *= (0.5 + k) * (-p + k) * x / ((1.5 + k) * (k + 1.0))
-            total += term
-            if abs(term) < 1e-15 * abs(total):
-                return total
-        raise IntegrationError("2F1 series did not converge in 1e5 terms")
-    s = math.sqrt(x)
-    integral = integrate_adaptive(
-        lambda r: (1.0 - r * r) ** p, 0.0, s, Tolerance(1e-14, 1e-13, 10_000)
-    )
-    return integral / s
+    scale = math.exp((p + 1.0) * math.log1p(-x))  # (1-x)^(p+1)
+    # a tiny scale would overflow Euler's sum (about 1/scale); the tail is nil
+    if x <= 0.5 and scale > 1e-300:
+        return scale * _positive_2f1(1.0, p + 1.5, 1.5, x)
+    tail = 0.5 * scale / (p + 1.0) * _positive_2f1(p + 1.0, 0.5, p + 2.0,
+                                                    1.0 - x)
+    return (gamma_ratio_endpoint(p) - tail) / math.sqrt(x)
 
 
 # ---------------------------------------------------------------------------

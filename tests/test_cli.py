@@ -7,7 +7,7 @@ import pytest
 from corrtrans import cli
 from corrtrans import models as mo
 from corrtrans import montecarlo as mc
-from corrtrans.specfun import normal_quantile
+from corrtrans.specfun import gamma_ratio_endpoint, normal_quantile
 
 
 def run(capsys, *argv):
@@ -31,6 +31,17 @@ class TestTransformCommand:
         assert code == 0
         assert float(out.splitlines()[0].split("=")[1]) == pytest.approx(
             0.3, abs=1e-6)
+
+
+    def test_steep_exponent_stays_in_range(self, capsys):
+        # exponent 132: psi(0.9) lies in (0, psi(1)], psi(1) = 0.0769
+        code, out, _ = run(capsys, "transform", "--model", "squarev",
+                           "--alpha", "0.48", "--rho", "0.9")
+        assert code == 0
+        value = float(out.splitlines()[0].split("=")[1])
+        z = normal_quantile(1.0 - 0.48)
+        top = gamma_ratio_endpoint(mo.optimal_exponent(mo.SQUAREV, z))
+        assert 0.0 < value <= top
 
 
 class TestDeltaCommand:
@@ -99,6 +110,16 @@ class TestExactCommand:
         assert code == 2
         assert len(err.splitlines()) == 1
         assert err.startswith("numeric failure:") and "not positive" in err
+
+
+    def test_lost_step_is_numeric_failure(self, capsys):
+        # psi(0.9) absorbs the step z psi'(0.9) sigma / sqrt(10) = 6.6e-45
+        code, out, err = run(capsys, "exact", "--rho", "0.9", "--n", "10",
+                             "--alpha", "0.47", "--transform", "optimal")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("numeric failure:") and "absorbs" in err
 
 
 class TestExitCodes:
@@ -245,6 +266,7 @@ class TestSimulateValidatesFirst:
         {"model": "trivariate"},
         {"transforms": ["probit"]},
         {"format": "xml"},
+        {"rhos": [0.5, 1.5]},
     ])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, changes):
         code, err = self.simulate(capsys, tmp_path, **changes)

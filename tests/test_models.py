@@ -172,6 +172,20 @@ class TestPsiClosed:
         with pytest.raises(ValueError):
             mo.psi_closed(mo.BVN, 0.0, 0.5)
 
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("alpha", [0.45, 0.48, 0.49])
+    def test_steep_exponents_stay_in_range(self, model, alpha):
+        # levels near 0.5 give exponents of 20 to 800; psi, the integral of
+        # (1-r^2)^p over [0, rho], must then increase to psi(1) without
+        # passing it, up to the 1e-12 relative accuracy of each value
+        z = normal_quantile(1.0 - alpha)
+        top = gamma_ratio_endpoint(mo.optimal_exponent(model, z))
+        values = [mo.psi_closed(model, z, rho)
+                  for rho in np.linspace(0.0, 1.0, 401)[1:]]
+        assert values[-1] == top
+        assert all(0.0 < v <= top * (1.0 + 1e-12) for v in values)
+        assert all(b >= a * (1.0 - 1e-12) for a, b in zip(values, values[1:]))
+
     def test_squarev_exponent_above_fisher(self):
         # q_z > -1/3 for every z, so Fisher is never in the SquareV family
         for z in np.concatenate([np.linspace(0.05, 10, 40), [100.0, 1e4]]):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -38,6 +39,9 @@ class TestExperimentGrid:
             mc.ExperimentGrid("bvn", (0.6,), (0.0,), (10,), N=10)
         with pytest.raises(ValueError):
             mc.ExperimentGrid("bvn", (0.05,), (0.0,), (1,), N=10)
+        for rho in (1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="rhos"):
+                mc.ExperimentGrid("bvn", (0.05,), (0.5, rho), (10,), N=10)
         with pytest.raises(ValueError):
             mc.ExperimentGrid("nope", (0.05,), (0.0,), (10,), N=10)
         with pytest.raises(ValueError):
@@ -70,6 +74,14 @@ class TestRejectionThreshold:
         with pytest.raises(pe.DegenerateModelError):
             mc.run_cell(mo.SQUAREV, t, 0.49, 0.99, 10, 1,
                         np.random.default_rng(0))
+
+
+    def test_lost_step_fails_the_cell(self):
+        # at alpha = 0.47 (exponent 58.5) the step z psi'(0.9) sigma / sqrt(10)
+        # is 6.6e-45 against psi(0.9) = 0.115, so psi cannot place r*
+        t = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.53))
+        with pytest.raises(pe.DegenerateModelError, match="absorbs"):
+            pe.rejection_threshold(t, 0.9, mo.SQUAREV.sigma(0.9), 10, 0.47)
 
 
 class TestAggregate:
@@ -206,3 +218,30 @@ class TestRunGrid:
         fish = results[("fisher", 0.05, 0.5, 10)]
         opt = results[("optimal", 0.05, 0.5, 10)]
         assert ident.alpha_hats == fish.alpha_hats == opt.alpha_hats
+
+    def test_thresholds_once_per_cell(self, monkeypatch):
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pe.rejection_threshold(*args)
+
+        monkeypatch.setattr(mc, "rejection_threshold", counted)
+        mc.run_grid(self.GRID)
+        assert len(calls) == len(self.GRID.cells()) * len(self.GRID.transforms)
+
+    def test_degenerate_cell_fails_before_sampling(self, monkeypatch):
+        # the second cell's optimal threshold is not defined (see
+        # test_lost_step_fails_the_cell); no cell may be sampled first
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+
+        def refuse(*args):
+            raise AssertionError("sample_r called before every threshold")
+
+        refusing = dataclasses.replace(mo.SQUAREV, sample_r=refuse)
+        monkeypatch.setattr(mc._models, "get_model", lambda name: refusing)
+        grid = mc.ExperimentGrid("squarev", (0.47,), (0.0, 0.9), (10,), N=10,
+                                 K=2)
+        with pytest.raises(pe.DegenerateModelError):
+            mc.run_grid(grid)

@@ -91,6 +91,7 @@ class TestNormalQuantile:
 class TestGauss2F1Half:
     def test_trivial_cases(self):
         assert gauss_2f1_half(0.0, 0.3) == 1.0
+        assert gauss_2f1_half(0.0, 0.9) == 1.0
         assert gauss_2f1_half(1.7, 0.0) == 1.0
 
     def test_terminating_series(self):
@@ -105,7 +106,19 @@ class TestGauss2F1Half:
         oracle = float(mp.quad(lambda r: (1 - r * r) ** p,
                                [0, math.sqrt(x)]))
         assert gauss_2f1_half(p, x) * math.sqrt(x) == pytest.approx(
-            oracle, abs=1e-10)
+            oracle, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [-0.99, -0.9, -1 / 3, 0.5, 1.0, 3.0, 20.0,
+                                   50.0, 100.0, 530.0, 2122.0, 20000.0])
+    @pytest.mark.parametrize("x", [0.01, 0.25, 0.5, 0.51, 0.81, 0.95, 0.98,
+                                   0.999, 1 - 1e-9])
+    def test_against_mpmath_hyp2f1(self, p, x):
+        # both series and the switch between them at x = 1/2; the steep
+        # exponents p >= 50 are those of levels near 0.5, and from p = 2122
+        # on (1-x)^(p+1) underflows at some x <= 1/2
+        want = float(mp.hyp2f1(0.5, -mp.mpf(p), 1.5, mp.mpf(x),
+                               maxterms=10**6))
+        assert gauss_2f1_half(p, x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -120,6 +133,16 @@ class TestGammaRatioEndpoint:
         assert gamma_ratio_endpoint(1.0) == pytest.approx(2 / 3, abs=1e-13)
         assert gamma_ratio_endpoint(-0.5) == pytest.approx(math.pi / 2,
                                                            abs=1e-12)
+
+    @pytest.mark.parametrize("p", [10.0, 19.9, 20.0, 132.18, 530.07, 794.61,
+                                   5000.0, 1e6])
+    def test_against_mpmath_gamma(self, p):
+        # above p = 20 a difference of two log-gammas would keep only
+        # about 1e-12 (5e-13 at p = 794.61)
+        want = float(mp.sqrt(mp.pi) * mp.gamma(mp.mpf(p) + 1)
+                     / (2 * mp.gamma(mp.mpf(p) + 1.5)))
+        assert gamma_ratio_endpoint(p) == pytest.approx(want, rel=1e-14,
+                                                        abs=0.0)
 
     def test_quadrature_cross_check(self):
         oracle = float(mp.quad(lambda r: 1 - r * r, [0, 1]))
