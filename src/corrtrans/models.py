@@ -110,11 +110,14 @@ def _bvn_sample_r(rho: float, rows: int, n: int, rng: np.random.Generator
     # chi2(k) is drawn as 2 Gamma(k/2) because chisquare refuses k = 0
     c1sq = 2.0 * rng.standard_gamma((n - 1) / 2.0, rows)
     c2sq = 2.0 * rng.standard_gamma((n - 2) / 2.0, rows)
-    g = rng.standard_normal(rows)
-    c1 = np.sqrt(c1sq)
     s2 = 1.0 - rho * rho
-    x = rho * c1 + math.sqrt(s2) * g
-    return r_from_sums(n, 0.0, 0.0, c1sq, x * x + s2 * c2sq, c1 * x)
+    x = math.sqrt(s2) * rng.standard_normal(rows)
+    c1 = np.sqrt(c1sq)
+    x += c1 * rho  # x, szz, syz in place: concurrent tasks hold few arrays
+    c2sq *= s2
+    c2sq += x * x
+    c1 *= x
+    return r_from_sums(n, 0.0, 0.0, c1sq, c2sq, c1)
 
 
 def _squarev_sample_r(rho: float, rows: int, n: int,

@@ -2,18 +2,19 @@
 
 Each grid cell (alpha, rho, n) is simulated by K workers; worker k of cell c
 uses a Philox substream keyed by an avalanche mix of (master_seed, c, k), so
-results are bit-identical regardless of scheduling or process count.  All
+results are bit-identical regardless of scheduling or thread count.  All
 transforms requested for a cell are evaluated on the same samples, as one
 would do on a shared simulation budget.  A worker draws its N values of R in
 one call to the model's `sample_r`, which costs O(1) per sample whatever n
-is, so memory grows as O(N) per task.
+is, so a task holds O(N) memory; tasks run on threads of one process (numpy
+draws without the GIL), so a run holds about width x that at a time.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
@@ -148,12 +149,6 @@ def predicted_relative_error(model: _models.DependenceModel, kind: str,
     return -d / (alpha * math.sqrt(n))
 
 
-def _worker_task(args: tuple) -> list[int]:
-    model_name, cell_index, worker_index, master_seed, rho, n, N, cuts = args
-    rng = substream(master_seed, cell_index, worker_index)
-    return _cell_counts(_models.get_model(model_name), cuts, rho, n, N, rng)
-
-
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
     try:
@@ -163,7 +158,7 @@ def _usable_cpus() -> int:
 
 
 def worker_pool_width(tasks: int | None = None) -> int:
-    """Worker processes for a run: CORRTRANS_THREADS (default: all usable
+    """Worker threads for a run: CORRTRANS_THREADS (default: all usable
     CPUs), clamped to the usable CPUs and to the number of tasks."""
     width = _usable_cpus()
     env = os.environ.get(THREADS_ENV)
@@ -192,14 +187,16 @@ def run_grid(grid: ExperimentGrid
         cuts = [rejection_threshold(_models.transform_for(model, kind, z_alpha),
                                     rho, sigma, n, alpha)
                 for kind in grid.transforms]
-        tasks.extend((grid.model, ci, k, grid.master_seed, rho, n, grid.N,
-                      cuts) for k in range(grid.K))
-    width = worker_pool_width(len(tasks))
-    if width == 1:
-        counts = list(map(_worker_task, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            counts = list(pool.map(_worker_task, tasks, chunksize=1))
+        tasks.extend((ci, k, rho, n, cuts) for k in range(grid.K))
+
+    def task_counts(task: tuple) -> list[int]:
+        ci, k, rho, n, cuts = task
+        return _cell_counts(model, cuts, rho, n, grid.N,
+                            substream(grid.master_seed, ci, k))
+
+    # map yields in task order and, on a failed task, cancels those not begun
+    with ThreadPoolExecutor(max_workers=worker_pool_width(len(tasks))) as pool:
+        counts = list(pool.map(task_counts, tasks))
     results: dict[tuple[str, float, float, int], CellResult] = {}
     for ci, (alpha, rho, n) in enumerate(cells):
         for ti, kind in enumerate(grid.transforms):

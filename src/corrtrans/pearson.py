@@ -96,13 +96,13 @@ def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
     """
     my = sy / n
     mz = sz / n
-    vy = syy / n - my * my
-    vz = szz / n - mz * mz
-    cov = syz / n - my * mz
-    denom2 = np.maximum(vy, 0.0) * np.maximum(vz, 0.0)
+    r = np.asarray(syz / n - my * mz)  # the covariance, then R in place
+    denom = np.asarray(np.maximum(syy / n - my * my, 0.0)
+                       * np.maximum(szz / n - mz * mz, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(denom2 > 0.0, cov / np.sqrt(denom2), 0.0)
-    return np.clip(r, -1.0, 1.0)
+        r /= np.sqrt(denom, out=denom)
+    r[~(denom > 0.0)] = 0.0
+    return np.clip(r, -1.0, 1.0, out=r)
 
 
 def pearson_r(samples: Sequence[tuple[float, float]]) -> float:

@@ -200,8 +200,11 @@ def gauss_2f1_half(p: float, x: float) -> float:
     if x == 0.0 or p == 0.0:
         return 1.0
     scale = math.exp((p + 1.0) * math.log1p(-x))  # (1-x)^(p+1)
-    # a tiny scale would overflow Euler's sum (about 1/scale); the tail is nil
-    if x <= 0.5 and scale > 1e-300:
+    # a tiny scale would overflow Euler's sum (about 1/scale); the tail of
+    # the complement, below 0.5 scale / ((p+1) x), is nil but slow to sum
+    if scale <= 1e-300:
+        return gamma_ratio_endpoint(p) / math.sqrt(x)
+    if x <= 0.5:
         return scale * _positive_2f1(1.0, p + 1.5, 1.5, x)
     tail = 0.5 * scale / (p + 1.0) * _positive_2f1(p + 1.0, 0.5, p + 2.0,
                                                     1.0 - x)

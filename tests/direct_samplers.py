@@ -35,3 +35,30 @@ def sample_squarev_via_bvn(rho: float, n: int, rng: np.random.Generator
     uv = sample_bvn(theta, n, rng)
     return np.where(uv >= 0.0, 1.0, -1.0)
 
+
+
+def r_from_sums_reference(n, sy, sz, syy, szz, syz):
+    """`pearson.r_from_sums` as a chain of fresh arrays, the form it had
+    before it worked in place."""
+    my = sy / n
+    mz = sz / n
+    vy = syy / n - my * my
+    vz = szz / n - mz * mz
+    cov = syz / n - my * mz
+    denom2 = np.maximum(vy, 0.0) * np.maximum(vz, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(denom2 > 0.0, cov / np.sqrt(denom2), 0.0)
+    return np.clip(r, -1.0, 1.0)
+
+
+def bvn_sample_r_reference(rho: float, rows: int, n: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """The BVN Bartlett sampler of `models` written out with fresh arrays;
+    it must draw the same R bit for bit."""
+    c1sq = 2.0 * rng.standard_gamma((n - 1) / 2.0, rows)
+    c2sq = 2.0 * rng.standard_gamma((n - 2) / 2.0, rows)
+    g = rng.standard_normal(rows)
+    c1 = np.sqrt(c1sq)
+    s2 = 1.0 - rho * rho
+    x = rho * c1 + math.sqrt(s2) * g
+    return r_from_sums_reference(n, 0.0, 0.0, c1sq, x * x + s2 * c2sq, c1 * x)

@@ -43,6 +43,16 @@ class TestTransformCommand:
         top = gamma_ratio_endpoint(mo.optimal_exponent(mo.SQUAREV, z))
         assert 0.0 < value <= top
 
+    def test_vanishing_tail_exponent(self, capsys):
+        # exponent 5.3e10 at rho^2 = 2.5e-5: (1 - rho^2)^(p+1) underflows
+        code, out, _ = run(capsys, "transform", "--model", "squarev",
+                           "--alpha", "0.499999", "--rho", "0.005")
+        assert code == 0
+        value = float(out.splitlines()[0].split("=")[1])
+        z = normal_quantile(1.0 - 0.499999)
+        top = gamma_ratio_endpoint(mo.optimal_exponent(mo.SQUAREV, z))
+        assert value == pytest.approx(top, rel=1e-5)
+
 
 class TestDeltaCommand:
     def test_two_paths_agree(self, capsys):

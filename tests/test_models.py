@@ -14,6 +14,7 @@ from corrtrans.specfun import (
     normal_quantile,
 )
 from direct_samplers import (
+    bvn_sample_r_reference,
     sample_bvn,
     sample_squarev,
     sample_squarev_via_bvn,
@@ -434,6 +435,17 @@ def _ks_statistic(a, b):
 class TestSampleR:
     """`sample_r` draws R from its sufficient statistics; these compare its
     law with the exact SquareV lattice pmf and with per-pair BVN samples."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.99])
+    def test_bvn_draws_match_reference_bitwise(self, rho, n):
+        # 40,000 rows are above numpy's 256 KiB temporary-elision size
+        for key, rows in ((0, 1), (7, 5000), (2 ** 64 - 1, 40_000)):
+            got = mo.BVN.sample_r(
+                rho, rows, n, np.random.Generator(np.random.Philox(key=key)))
+            want = bvn_sample_r_reference(
+                rho, rows, n, np.random.Generator(np.random.Philox(key=key)))
+            assert np.array_equal(got, want), key
 
     @pytest.mark.parametrize("n", [2, 10, 20])
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -245,3 +247,50 @@ class TestRunGrid:
                                  K=2)
         with pytest.raises(pe.DegenerateModelError):
             mc.run_grid(grid)
+
+
+class TestRunGridThreads:
+    GRID = mc.ExperimentGrid("squarev", (0.05,), (0.0, 0.5), (10,), N=50,
+                             K=4)
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self, monkeypatch):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+        monkeypatch.setenv(mc.THREADS_ENV, "2")
+
+    @staticmethod
+    def use_sample_r(monkeypatch, sample_r):
+        model = dataclasses.replace(mo.SQUAREV, sample_r=sample_r)
+        monkeypatch.setattr(mc._models, "get_model", lambda name: model)
+
+    def test_tasks_run_on_pool_threads(self, monkeypatch):
+        # a pool of processes would record nothing in this process
+        idents = []
+
+        def recording(*args):
+            idents.append(threading.get_ident())
+            return mo.SQUAREV.sample_r(*args)
+
+        self.use_sample_r(monkeypatch, recording)
+        mc.run_grid(self.GRID)
+        assert len(idents) == len(self.GRID.cells()) * self.GRID.K
+        assert threading.main_thread().ident not in idents
+
+    def test_failed_task_stops_the_queue(self, monkeypatch):
+        grid = dataclasses.replace(self.GRID, rhos=(0.0,), K=200)
+        calls = []
+        lock = threading.Lock()
+
+        def third_fails(*args):
+            with lock:
+                calls.append(None)
+                number = len(calls)
+            if number == 3:
+                raise RuntimeError("task 3 failed")
+            time.sleep(0.005)
+            return mo.SQUAREV.sample_r(*args)
+
+        self.use_sample_r(monkeypatch, third_fails)
+        with pytest.raises(RuntimeError, match="task 3 failed"):
+            mc.run_grid(grid)
+        assert len(calls) <= 10

@@ -6,7 +6,7 @@ import pytest
 from corrtrans import models as mo
 from corrtrans import pearson as pe
 from corrtrans.specfun import Tolerance, normal_pdf, normal_quantile
-from direct_samplers import sample_bvn, sample_squarev
+from direct_samplers import r_from_sums_reference, sample_bvn, sample_squarev
 
 Z05 = normal_quantile(0.95)
 Z01 = normal_quantile(0.99)
@@ -41,6 +41,36 @@ class TestPearsonR:
             yz = sample_bvn(rho, n, rng) + np.array([1e8, -3e8])
             want = np.corrcoef(yz[:, 0], yz[:, 1])[0, 1]
             assert pe.pearson_r(yz) == pytest.approx(want, abs=1e-12)
+
+
+class TestRFromSums:
+    def test_matches_reference_bitwise(self):
+        # raw sums of BVN samples, with rows where the variances are
+        # exactly 0, rounded below 0, or NaN (R := 0 on each)
+        n = 7
+        rng = np.random.Generator(np.random.Philox(key=3))
+        yz = sample_bvn(0.6, 4000 * n, rng).reshape(4000, n, 2) * 3.0 + 1.0
+        y, z = yz[..., 0], yz[..., 1]
+        sums = [y.sum(1), z.sum(1), (y * y).sum(1), (z * z).sum(1),
+                (y * z).sum(1)]
+        sums[2][:3] = sums[0][:3] ** 2 / n * np.array([1.0, 1 - 1e-16, 0.5])
+        sums[3][3] = math.nan
+        got = pe.r_from_sums(n, *sums)
+        assert np.array_equal(got, r_from_sums_reference(n, *sums))
+        assert np.all(got[:4] == 0.0)
+        for row in (0, 4, 5):
+            scalars = [float(s[row]) for s in sums]
+            assert float(pe.r_from_sums(n, *scalars)) == float(
+                r_from_sums_reference(n, *scalars))
+
+    def test_leaves_its_arguments_unchanged(self):
+        sums = [np.array([1.0, 2.0]), np.array([0.5, -1.0]),
+                np.array([3.0, 4.0]), np.array([2.0, 5.0]),
+                np.array([1.5, -0.5])]
+        copies = [s.copy() for s in sums]
+        pe.r_from_sums(3, *sums)
+        for s, c in zip(sums, copies):
+            assert np.array_equal(s, c)
 
 
 class TestSigmaRho:

@@ -120,6 +120,14 @@ class TestGauss2F1Half:
                                maxterms=10**6))
         assert gauss_2f1_half(p, x) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("p, x", [(1e6, 1e-3), (1e7, 1e-4), (1e8, 1e-5)])
+    def test_vanishing_tail_against_mpmath(self, p, x):
+        # (1-x)^(p+1) underflows, and the complement's tail would need about
+        # 37/x terms to sum although it is below 1e-296
+        want = float(mp.hyp2f1(0.5, -mp.mpf(p), 1.5, mp.mpf(x),
+                               maxterms=10**6))
+        assert gauss_2f1_half(p, x) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             gauss_2f1_half(0.5, 1.0)
