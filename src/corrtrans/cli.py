@@ -77,9 +77,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="corrtrans")
-    parser.add_argument("--digits", type=int, default=6,
+    parser.add_argument("--digits", type=non_negative_int, default=6,
                         help="significant digits for printed values")
     sub = parser.add_subparsers(dest="command", required=True)
 

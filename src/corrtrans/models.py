@@ -26,9 +26,8 @@ from .pearson import (
     fisher_transform,
     identity_transform,
     r_from_sums,
-    rejection_threshold,
+    rejection_rule,
     sigma_rho,
-    tau,
 )
 from .specfun import (
     gamma_ratio_endpoint,
@@ -226,10 +225,10 @@ def optimal_transform_closed(model: DependenceModel, z: float) -> Transform:
     def dpsi(r: float) -> float:
         return (1.0 - r * r) ** p
 
-    def d2psi(r: float) -> float:
-        return p * (1.0 - r * r) ** (p - 1.0) * (-2.0 * r)
+    def dlog_dpsi(r: float) -> float:
+        return -2.0 * p * r / (1.0 - r * r)
 
-    return Transform("optimal", psi, dpsi, d2psi, z_ref=z)
+    return Transform(psi, dpsi, dlog_dpsi)
 
 
 def transform_for(model: DependenceModel, kind: str,
@@ -317,20 +316,15 @@ def fisher_dominance_threshold(model: DependenceModel) -> float:
     return 1.0 - normal_cdf(math.sqrt(t_min))
 
 
-# An atom whose R lies this close to r* is decided by tau itself, so that
-# the rounding of r* cannot flip an atom that sits on the threshold.
-_TIE_BAND = 1e-9
-
-
 def squarev_exact_rejection(rho: float, n: int, t: Transform,
                             alpha: float) -> float:
     """Exact rejection probability of the one-sided test under SquareV.
 
     Enumerates all multinomial cell-count vectors over the four vertices,
     computes R (value 0 on a degenerate denominator) and sums the
-    probabilities of the atoms with R > r*, the threshold of tau > z_alpha
-    with the true sigma = sqrt(1 - rho^2).  Atoms within _TIE_BAND of r* are
-    decided by tau.
+    probabilities of the atoms that `pearson.rejection_rule` rejects, with
+    the true sigma = sqrt(1 - rho^2): the rule Monte Carlo counts by, so an
+    atom on the threshold is decided by tau in both.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"exact enumeration requires -1 < rho < 1, "
@@ -341,11 +335,7 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
         raise ValueError("n must be >= 1")
     logs = np.log(_squarev_probs(rho))
     lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
-    z_alpha = normal_quantile(1.0 - alpha)
-    sigma = math.sqrt(1.0 - rho * rho)
-    # r* = inf when not even R = 1 rejects; capped at 1, the atoms at R = 1
-    # fall in the tie band and tau decides them
-    r_star = min(rejection_threshold(t, rho, sigma, n, alpha), 1.0)
+    rejects = rejection_rule(t, rho, math.sqrt(1.0 - rho * rho), n, alpha)
 
     def rejected_probabilities():
         for n11 in range(n + 1):
@@ -354,10 +344,7 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
             counts = np.arange(rest + 1)
             n1m, nm1 = np.nonzero(np.add.outer(counts, counts) <= rest)
             nmm = rest - n1m - nm1
-            r = _squarev_r(n, n11, n1m, nm1, nmm)
-            reject = r > r_star
-            for i in np.flatnonzero(np.abs(r - r_star) <= _TIE_BAND):
-                reject[i] = tau(t, float(r[i]), rho, sigma, n) > z_alpha
+            reject = rejects(_squarev_r(n, n11, n1m, nm1, nmm))
             n1m, nm1, nmm = n1m[reject], nm1[reject], nmm[reject]
             logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
                     + n11 * logs[0] + n1m * logs[1]

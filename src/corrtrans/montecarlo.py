@@ -7,7 +7,8 @@ transforms requested for a cell are evaluated on the same samples, as one
 would do on a shared simulation budget.  A worker draws its N values of R in
 one call to the model's `sample_r`, which costs O(1) per sample whatever n
 is, so a task holds O(N) memory; tasks run on threads of one process (numpy
-draws without the GIL), so a run holds about width x that at a time.
+draws without the GIL), so a run holds about width x that at a time.  Draws
+are counted by `pearson.rejection_rule`, as the exact SquareV oracle is.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from . import models as _models
-from .pearson import Transform, rejection_threshold
+from .pearson import Transform, rejection_rule
 from .specfun import normal_quantile
 
 __all__ = [
@@ -105,14 +106,6 @@ class CellResult:
     eps_se: float                    # eps_sd / sqrt(K)
 
 
-def _cell_counts(model: _models.DependenceModel, thresholds: list[float],
-                 rho: float, n: int, N: int, rng: np.random.Generator
-                 ) -> list[int]:
-    """Rejection counts for each threshold over N samples of size n."""
-    r = model.sample_r(rho, N, n, rng)
-    return [int(np.count_nonzero(r > cut)) for cut in thresholds]
-
-
 def run_cell(model: _models.DependenceModel, transform: Transform,
              alpha: float, rho: float, n: int, N: int,
              rng: np.random.Generator) -> float:
@@ -121,10 +114,9 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
         raise ValueError("N must be >= 1")
     if n < 2:
         raise ValueError("n must be >= 2")
-    sigma = model.sigma(rho)
-    cut = rejection_threshold(transform, rho, sigma, n, alpha)
-    counts = _cell_counts(model, [cut], rho, n, N, rng)
-    return counts[0] / N
+    rejects = rejection_rule(transform, rho, model.sigma(rho), n, alpha)
+    r = model.sample_r(rho, N, n, rng)
+    return int(np.count_nonzero(rejects(r))) / N
 
 
 def aggregate(alpha_hats: tuple[float, ...], alpha: float) -> CellResult:
@@ -177,22 +169,22 @@ def run_grid(grid: ExperimentGrid
              ) -> dict[tuple[str, float, float, int], CellResult]:
     """Run every (cell, worker) substream; returns results keyed by
     (transform, alpha, rho, n).  Output is independent of scheduling.  Each
-    cell's thresholds are computed once, before any sampling starts."""
+    cell's rejection rules are built once, before any sampling starts."""
     model = _models.get_model(grid.model)
     cells = grid.cells()
     tasks = []
     for ci, (alpha, rho, n) in enumerate(cells):
         z_alpha = normal_quantile(1.0 - alpha)
         sigma = model.sigma(rho)
-        cuts = [rejection_threshold(_models.transform_for(model, kind, z_alpha),
-                                    rho, sigma, n, alpha)
-                for kind in grid.transforms]
-        tasks.extend((ci, k, rho, n, cuts) for k in range(grid.K))
+        rules = [rejection_rule(_models.transform_for(model, kind, z_alpha),
+                                rho, sigma, n, alpha)
+                 for kind in grid.transforms]
+        tasks.extend((ci, k, rho, n, rules) for k in range(grid.K))
 
     def task_counts(task: tuple) -> list[int]:
-        ci, k, rho, n, cuts = task
-        return _cell_counts(model, cuts, rho, n, grid.N,
-                            substream(grid.master_seed, ci, k))
+        ci, k, rho, n, rules = task
+        r = model.sample_r(rho, grid.N, n, substream(grid.master_seed, ci, k))
+        return [int(np.count_nonzero(rejects(r))) for rejects in rules]
 
     # map yields in task order and, on a failed task, cancels those not begun
     with ThreadPoolExecutor(max_workers=worker_pool_width(len(tasks))) as pool:

@@ -33,6 +33,7 @@ __all__ = [
     "delta_psi",
     "tau",
     "rejection_threshold",
+    "rejection_rule",
     "assemble_statistic_model",
 ]
 
@@ -55,21 +56,15 @@ class MomentSpec:
 
 @dataclass(frozen=True)
 class Transform:
-    """A transform psi of R with its first two derivatives.
+    """psi of R, psi' and psi''/psi' (finite where psi' underflows)."""
 
-    kind is one of "identity", "fisher", "optimal", "numeric"; z_ref is the
-    critical value an optimal/numeric transform was built for.
-    """
-
-    kind: str
     psi: Callable[[float], float]
     dpsi: Callable[[float], float]
-    d2psi: Callable[[float], float]
-    z_ref: float | None = None
+    dlog_dpsi: Callable[[float], float]
 
 
 def identity_transform() -> Transform:
-    return Transform("identity", lambda r: r, lambda r: 1.0, lambda r: 0.0)
+    return Transform(lambda r: r, lambda r: 1.0, lambda r: 0.0)
 
 
 def fisher_transform() -> Transform:
@@ -80,12 +75,8 @@ def fisher_transform() -> Transform:
             return -math.inf
         return math.atanh(r)
 
-    return Transform(
-        "fisher",
-        psi,
-        lambda r: 1.0 / (1.0 - r * r),
-        lambda r: 2.0 * r / (1.0 - r * r) ** 2,
-    )
+    return Transform(psi, lambda r: 1.0 / (1.0 - r * r),
+                     lambda r: 2.0 * r / (1.0 - r * r))
 
 
 def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
@@ -240,19 +231,14 @@ def optimal_transform_numeric(
     def dpsi(rho: float) -> float:
         return state_at(abs(rho))[1]
 
-    def d2psi(rho: float) -> float:
-        return h_z(m, rho, z) * dpsi(rho)
-
-    return Transform("numeric", psi, dpsi, d2psi, z_ref=z)
+    return Transform(psi, dpsi, lambda rho: h_z(m, rho, z))
 
 
 def delta_psi(m: MomentSpec, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
     s = sigma_rho(m, rho)
     delta_r = normal_pdf(z) * delta_r_tilde(m, rho, z) / (96.0 * s ** 3)
-    correction = (
-        t.d2psi(rho) / (2.0 * t.dpsi(rho)) * s * z * z * normal_pdf(z)
-    )
+    correction = 0.5 * t.dlog_dpsi(rho) * s * z * z * normal_pdf(z)
     return delta_r - correction
 
 
@@ -284,7 +270,7 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     """Critical value r* such that tau > z_alpha iff R > r*.
 
     psi is strictly increasing, so the tau test inverts to a one-sided test
-    on R itself; returns +inf when no attainable R rejects.  Raises
+    on R itself; returns +inf when not even R = 1 has tau > z_alpha.  Raises
     DegenerateModelError when psi(rho) absorbs the step
     z_alpha psi'(rho) sigma / sqrt(n) in rounding, which leaves r* undefined.
     """
@@ -295,8 +281,7 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     if cut == psi_rho and z_alpha != 0.0:
         raise DegenerateModelError(f"psi(rho) = {psi_rho} absorbs z_alpha "
                                    f"psi'(rho) sigma / sqrt(n) at rho={rho}")
-    psi_top = t.psi(1.0)
-    if cut >= psi_top:
+    if not tau(t, 1.0, rho, sigma, n) > z_alpha:
         return math.inf
     lo, hi = -1.0, 1.0
     for _ in range(80):
@@ -306,6 +291,33 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+# An R this close to r* is decided by tau itself, so that the rounding of r*
+# cannot flip an atom of a discrete R that sits on the threshold.
+_TIE_BAND = 1e-9
+
+
+def rejection_rule(t: Transform, rho: float, sigma: float, n: int,
+                   alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The test tau > z_alpha as a predicate on an array of R values: R > r*
+    rejects, and each distinct R within _TIE_BAND of r* is decided by tau,
+    once per value (a lattice R puts many draws on one value)."""
+    z_alpha = normal_quantile(1.0 - alpha)
+    r_star = rejection_threshold(t, rho, sigma, n, alpha)
+    lo, hi = r_star - _TIE_BAND, r_star + _TIE_BAND
+
+    def rejects(r: np.ndarray) -> np.ndarray:
+        reject = r > hi
+        near = (r >= lo) ^ reject  # lo <= R <= hi
+        if near.any():
+            values, inverse = np.unique(r[near], return_inverse=True)
+            decided = [tau(t, v, rho, sigma, n) > z_alpha
+                       for v in values.tolist()]
+            reject[near] = np.array(decided)[inverse]
+        return reject
+
+    return rejects
 
 
 def _hessian(rho: float) -> np.ndarray:

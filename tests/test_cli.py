@@ -66,6 +66,17 @@ class TestDeltaCommand:
         assert closed == pytest.approx(-0.139702, abs=1e-6)
         assert generic == pytest.approx(closed, abs=1e-6)
 
+    def test_optimal_at_a_steep_exponent(self, capsys):
+        # exponent 799: psi'(0.99) underflows to 0
+        code, out, _ = run(capsys, "delta", "--model", "bvn",
+                           "--transform", "optimal", "--rho", "0.99",
+                           "--z", "0.025", "--z-ref", "0.025")
+        assert code == 0
+        closed, generic = (float(line.split(":")[1])
+                           for line in out.splitlines())
+        assert closed == 0.0
+        assert generic == pytest.approx(closed, abs=1e-8)
+
     def test_optimal_requires_z_ref(self, capsys):
         code, _, err = run(capsys, "delta", "--model", "bvn",
                            "--transform", "optimal", "--rho", "0.5",
@@ -143,6 +154,21 @@ class TestExitCodes:
     def test_unknown_model(self, capsys):
         assert run(capsys, "transform", "--model", "trivariate",
                    "--alpha", "0.05", "--rho", "0.5")[0] == 2
+
+    def test_negative_digits_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "--digits", "-1", "ranges", "--model",
+                             "bvn", "--alpha", "0.05", "--vs", "identity")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[0] == \
+            "error: argument --digits: must be >= 0, got -1"
+
+    def test_zero_digits(self, capsys):
+        code, out, _ = run(capsys, "--digits", "0", "delta", "--model", "bvn",
+                           "--transform", "fisher", "--rho", "0.5",
+                           "--z", "1")
+        assert code == 0
+        assert out.splitlines()[0] == "closed-form:      -0.06"
 
     def test_missing_config(self, capsys, tmp_path):
         assert run(capsys, "simulate", "--config",

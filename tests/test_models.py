@@ -243,6 +243,18 @@ class TestDeltaClosed:
                 generic = pe.delta_psi(model.moments, t, rho, z)
                 assert closed == pytest.approx(generic, abs=1e-8)
 
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.45, 0.49, 0.495])
+    def test_optimal_generic_at_steep_exponents(self, model, alpha):
+        # psi'(rho) underflows near |rho| = 1 at these levels; the generic
+        # pipeline reads psi''/psi', which does not
+        z = normal_quantile(1.0 - alpha)
+        t = mo.transform_for(model, "optimal", z)
+        for rho in np.linspace(-0.995, 0.995, 200).tolist():
+            closed = mo.delta_closed(model, "optimal", z, rho, z)
+            generic = pe.delta_psi(model.moments, t, rho, z)
+            assert closed == pytest.approx(generic, abs=1e-8), rho
+
 
 class TestDominanceRange:
     def test_bvn_vs_identity(self):
@@ -601,10 +613,11 @@ class TestSquarevExactRejection:
         # alpha = 1 - Phi(tau(R0)) puts the lattice value R0 on the rejection
         # threshold, where rounding decides between R > r* and tau > z_alpha
         ties = 0
+        lattice = np.array(_lattice_r_values(n))
         for rho in (0.0, 0.3, 0.5):
             sigma = math.sqrt(1.0 - rho * rho)
             for kind in KINDS:
-                for r0 in _lattice_r_values(n)[::stride]:
+                for r0 in lattice[::stride].tolist():
                     z = 1.0
                     # the optimal transform depends on its own level:
                     # iterate z -> tau(R0) towards a fixed point
@@ -616,11 +629,17 @@ class TestSquarevExactRejection:
                     alpha = 1.0 - normal_cdf(z)
                     if not 0.0 < alpha <= EXACT_ALPHAS[-1]:
                         continue
-                    t = mo.transform_for(mo.SQUAREV, kind,
-                                         normal_quantile(1.0 - alpha))
+                    z_alpha = normal_quantile(1.0 - alpha)
+                    t = mo.transform_for(mo.SQUAREV, kind, z_alpha)
                     got = mo.squarev_exact_rejection(rho, n, t, alpha)
                     want = _squarev_exact_rejection_loop(rho, n, t, alpha)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
                         (rho, kind, r0)
+                    # the rule Monte Carlo counts by is tau > z_alpha on
+                    # every atom, the tie included
+                    rule = pe.rejection_rule(t, rho, sigma, n, alpha)
+                    by_tau = [pe.tau(t, r, rho, sigma, n) > z_alpha
+                              for r in lattice.tolist()]
+                    assert rule(lattice).tolist() == by_tau, (rho, kind, r0)
                     ties += 1
         assert ties >= 30

@@ -10,7 +10,7 @@ import pytest
 from corrtrans import models as mo
 from corrtrans import montecarlo as mc
 from corrtrans import pearson as pe
-from corrtrans.specfun import normal_quantile
+from corrtrans.specfun import normal_cdf, normal_quantile
 
 
 class TestMix64:
@@ -113,6 +113,19 @@ class TestRunCell:
         hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N, rng)
         bound = 5 * math.sqrt(exact * (1 - exact) / N)
         assert abs(hat - exact) <= bound
+
+    def test_squarev_atom_on_the_threshold(self):
+        # the counts (1, 0, 3, 1) give R = 1/4 (0.2499...94 in floats), and
+        # alpha = 1 - Phi(tau(R)) puts that atom, 4% of the mass, on the
+        # Fisher threshold: Monte Carlo must decide it as the oracle does
+        n, rho, N = 5, 0.0, 400_000
+        t = pe.fisher_transform()
+        r0 = float(mo._squarev_r(n, 1, 0, 3, 1))
+        alpha = 1.0 - normal_cdf(pe.tau(t, r0, rho, 1.0, n))
+        exact = mo.squarev_exact_rejection(rho, n, t, alpha)
+        hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N,
+                          mc.substream(123, 2, 0))
+        assert abs(hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / N)
 
     def test_squarev_never_rejects_cell(self):
         t = pe.identity_transform()
@@ -227,9 +240,9 @@ class TestRunGrid:
 
         def counted(*args):
             calls.append(args)
-            return pe.rejection_threshold(*args)
+            return pe.rejection_rule(*args)
 
-        monkeypatch.setattr(mc, "rejection_threshold", counted)
+        monkeypatch.setattr(mc, "rejection_rule", counted)
         mc.run_grid(self.GRID)
         assert len(calls) == len(self.GRID.cells()) * len(self.GRID.transforms)
 

@@ -166,11 +166,15 @@ class TestOptimalTransformNumeric:
             assert t.psi(-rho) == -t.psi(rho)
 
     def test_ode_consistency(self):
-        for m in (mo.BVN.moments, mo.SQUAREV.moments):
-            t = pe.optimal_transform_numeric(m, Z05)
-            for rho in np.linspace(-0.95, 0.95, 11):
-                resid = t.d2psi(rho) / t.dpsi(rho) - pe.h_z(m, rho, Z05)
-                assert abs(resid) < 1e-8
+        # psi''/psi' = h_z: the numeric transform carries h_z itself, the
+        # closed form carries -2 p rho / (1 - rho^2)
+        for model in (mo.BVN, mo.SQUAREV):
+            m = model.moments
+            for t in (pe.optimal_transform_numeric(m, Z05),
+                      mo.optimal_transform_closed(model, Z05)):
+                for rho in np.linspace(-0.95, 0.95, 11):
+                    resid = t.dlog_dpsi(rho) - pe.h_z(m, rho, Z05)
+                    assert abs(resid) < 1e-8
 
     def test_endpoint_rejected(self):
         t = pe.optimal_transform_numeric(mo.BVN.moments, Z05)
