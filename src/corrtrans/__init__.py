@@ -33,7 +33,6 @@ from .montecarlo import (
     run_grid,
 )
 from .pearson import (
-    MomentSpec,
     Transform,
     assemble_statistic_model,
     delta_psi,

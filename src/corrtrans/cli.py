@@ -12,7 +12,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import models as mo
@@ -20,7 +19,7 @@ from . import montecarlo as mc
 from . import pearson as pe
 from .specfun import IntegrationError, normal_quantile
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "read_config"]
 
 CSV_FIELDS = [
     "model", "transform", "alpha", "rho", "n", "N", "K", "seed",
@@ -28,44 +27,38 @@ CSV_FIELDS = [
 ]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat simulation config, read from a JSON object of the same shape."""
+# a simulate config is a flat JSON object: the ExperimentGrid fields, where
+# the file goes and in which format; K and master_seed have no default here
+_REQUIRED = ("model", "alphas", "rhos", "ns", "N", "K", "master_seed",
+             "output_path")
+_OPTIONAL = ("transforms", "format")
+_LISTS = ("alphas", "rhos", "ns", "transforms")
 
-    model: str
-    alphas: tuple[float, ...]
-    rhos: tuple[float, ...]
-    ns: tuple[int, ...]
-    N: int
-    K: int
-    master_seed: int
-    transforms: tuple[str, ...]
-    output_path: str
-    format: str = "csv"
 
-    @staticmethod
-    def from_json(path: str | Path) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        return RunConfig(
-            model=raw["model"],
-            alphas=tuple(raw["alphas"]),
-            rhos=tuple(raw["rhos"]),
-            ns=tuple(int(n) for n in raw["ns"]),
-            N=int(raw["N"]),
-            K=int(raw["K"]),
-            master_seed=int(raw["master_seed"]),
-            transforms=tuple(raw.get("transforms", mo.TRANSFORM_KINDS)),
-            output_path=raw["output_path"],
-            format=raw.get("format", "csv"),
-        )
-
-    def grid(self) -> mc.ExperimentGrid:
-        return mc.ExperimentGrid(
-            model=self.model, alphas=self.alphas, rhos=self.rhos, ns=self.ns,
-            N=self.N, K=self.K, master_seed=self.master_seed,
-            transforms=self.transforms,
-        )
+def read_config(path: str | Path) -> tuple[mc.ExperimentGrid, str, str]:
+    """(grid, output_path, format) of a simulate config; raises ValueError
+    (TypeError for some values of the wrong type) on a malformed one."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError("the config must be a JSON object")
+    unknown = sorted(set(raw) - set(_REQUIRED) - set(_OPTIONAL))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    missing = [key for key in _REQUIRED if key not in raw]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    for key in _LISTS:
+        if key in raw and not isinstance(raw[key], list):
+            raise ValueError(f"{key} must be a JSON list")
+    out, fmt = raw.pop("output_path"), raw.pop("format", "csv")
+    if not isinstance(out, str):
+        raise ValueError("output_path must be a string")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    grid = mc.ExperimentGrid(**{key: tuple(value) if key in _LISTS else value
+                                for key, value in raw.items()})
+    return grid, out, fmt
 
 
 class _UsageError(Exception):
@@ -170,16 +163,13 @@ def _cmd_simulate(args, digits: int) -> None:
     if not path.is_file():
         raise _UsageError(f"config file not found: {path}")
     try:
-        cfg = RunConfig.from_json(path)
-        grid = cfg.grid()
-    except (KeyError, TypeError, ValueError) as exc:
+        grid, output_path, fmt = read_config(path)
+    except (TypeError, ValueError) as exc:
         raise _UsageError(f"bad config: {exc}")
-    if cfg.format not in ("csv", "json"):
-        raise _UsageError(f"unknown output format {cfg.format!r}")
     # the rows go to a temporary file in the output's directory, renamed
     # onto the output once complete, so no run leaves a half-written file;
     # creating it first finds a missing or unwritable directory before sampling
-    out = Path(cfg.output_path)
+    out = Path(output_path)
     if out.is_dir():
         raise _UsageError(f"output_path is a directory: {out}")
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
@@ -192,14 +182,14 @@ def _cmd_simulate(args, digits: int) -> None:
         for (kind, alpha, rho, n), cell in sorted(mc.run_grid(grid).items()):
             hat_mean = math.fsum(cell.alpha_hats) / len(cell.alpha_hats)
             rows.append({
-                "model": cfg.model, "transform": kind, "alpha": alpha,
-                "rho": rho, "n": n, "N": cfg.N, "K": cfg.K,
-                "seed": cfg.master_seed, "eps_mean": repr(cell.eps_mean),
+                "model": grid.model, "transform": kind, "alpha": alpha,
+                "rho": rho, "n": n, "N": grid.N, "K": grid.K,
+                "seed": grid.master_seed, "eps_mean": repr(cell.eps_mean),
                 "eps_sd": repr(cell.eps_sd), "eps_se": repr(cell.eps_se),
                 "alpha_hat_mean": repr(hat_mean),
             })
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            if cfg.format == "csv":
+            if fmt == "csv":
                 writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
                 writer.writeheader()
                 writer.writerows(rows)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .pearson import (
-    MomentSpec,
+    Moments,
     Transform,
     fisher_transform,
     identity_transform,
@@ -137,7 +137,7 @@ class DependenceModel:
     """
 
     name: str
-    moments: MomentSpec
+    moments: Moments
     # (rho, rows, n, rng) -> R of `rows` samples of size n, drawn from the
     # statistics R depends on, at O(1) cost per sample
     sample_r: Callable[[float, int, int, np.random.Generator], np.ndarray]
@@ -163,7 +163,7 @@ class BetaInterval:
 
 BVN = DependenceModel(
     name="bvn",
-    moments=MomentSpec(bvn_moments),
+    moments=bvn_moments,
     sample_r=_bvn_sample_r,
     odd_factor=lambda rho: rho,
     delta_const=-0.5,
@@ -172,7 +172,7 @@ BVN = DependenceModel(
 
 SQUAREV = DependenceModel(
     name="squarev",
-    moments=MomentSpec(squarev_moments),
+    moments=squarev_moments,
     sample_r=_squarev_sample_r,
     odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
     delta_const=-1.0,
@@ -183,10 +183,10 @@ _MODELS = {"bvn": BVN, "squarev": SQUAREV}
 
 
 def get_model(name: str) -> DependenceModel:
-    try:
-        return _MODELS[name.lower()]
-    except KeyError:
+    model = _MODELS.get(name.lower()) if isinstance(name, str) else None
+    if model is None:
         raise ValueError(f"unknown model {name!r}; expected bvn or squarev")
+    return model
 
 
 def optimal_exponent(model: DependenceModel, z: float) -> float:
@@ -323,8 +323,8 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     Enumerates all multinomial cell-count vectors over the four vertices,
     computes R (value 0 on a degenerate denominator) and sums the
     probabilities of the atoms that `pearson.rejection_rule` rejects, with
-    the true sigma = sqrt(1 - rho^2): the rule Monte Carlo counts by, so an
-    atom on the threshold is decided by tau in both.
+    sigma = SQUAREV.sigma(rho): the rule and the sigma Monte Carlo counts
+    by, so an atom on the threshold is decided alike in both.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"exact enumeration requires -1 < rho < 1, "
@@ -335,7 +335,7 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
         raise ValueError("n must be >= 1")
     logs = np.log(_squarev_probs(rho))
     lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
-    rejects = rejection_rule(t, rho, math.sqrt(1.0 - rho * rho), n, alpha)
+    rejects = rejection_rule(t, rho, SQUAREV.sigma(rho), n, alpha)
 
     def rejected_probabilities():
         for n11 in range(n + 1):

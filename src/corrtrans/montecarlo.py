@@ -14,6 +14,7 @@ are counted by `pearson.rejection_rule`, as the exact SquareV oracle is.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ def mix64(*parts: int) -> int:
     """Avalanche-mix a sequence of integers into one 64-bit seed."""
     h = 0x9E3779B97F4A7C15
     for part in parts:
-        h ^= part & 0xFFFFFFFFFFFFFFFF
+        h ^= int(part) & 0xFFFFFFFFFFFFFFFF  # int(): numpy ints would overflow
         # splitmix64 finalizer
         h = (h + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
@@ -67,7 +68,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    """Full simulation request; table-scale runs used the defaults noted."""
+    """Full simulation request, validated here and nowhere else (the
+    simulate config is read into it); table-scale runs used the defaults
+    noted."""
 
     model: str                       # "bvn" or "squarev"
     alphas: tuple[float, ...]        # table scale: (0.01, 0.05)
@@ -79,6 +82,15 @@ class ExperimentGrid:
     transforms: tuple[str, ...] = _models.TRANSFORM_KINDS
 
     def __post_init__(self) -> None:
+        # numpy integers are Integral, bools are too but are refused
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                   for v in (self.N, self.K, self.master_seed, *self.ns)):
+            raise ValueError("N, K, master_seed and every n must be integers")
+        # a repeated value would sample its cells twice and keep one result
+        for values in (self.alphas, self.rhos, self.ns, self.transforms):
+            if not values or len(set(values)) < len(values):
+                raise ValueError(f"grid values must be distinct and "
+                                 f"non-empty, got {values!r}")
         if self.N < 1 or self.K < 1:
             raise ValueError("N and K must be >= 1")
         if any(not 0.0 < a < 0.5 for a in self.alphas):

@@ -18,7 +18,7 @@ from . import edgeworth
 from .specfun import Tolerance, integrate_ode, normal_pdf, normal_quantile
 
 __all__ = [
-    "MomentSpec",
+    "Moments",
     "Transform",
     "DegenerateModelError",
     "identity_transform",
@@ -38,20 +38,15 @@ __all__ = [
 ]
 
 NUMERIC_RHO_LIMIT = 1.0 - 1e-6
+# step control of the ODE behind optimal_transform_numeric
+NUMERIC_ODE_TOL = Tolerance(1e-11, 1e-11, 100_000)
+
+# joint moments mu_ij(rho) = E Y^i Z^j of a standardized pair, as (rho, i, j)
+Moments = Callable[[float, int, int], float]
 
 
 class DegenerateModelError(ValueError):
     """The model's asymptotic variance is not positive at this rho."""
-
-
-@dataclass(frozen=True)
-class MomentSpec:
-    """Joint moments mu_ij(rho) = E Y^i Z^j of a standardized pair."""
-
-    eval: Callable[[float, int, int], float]
-
-    def __call__(self, rho: float, i: int, j: int) -> float:
-        return self.eval(rho, i, j)
 
 
 @dataclass(frozen=True)
@@ -110,46 +105,44 @@ def pearson_r(samples: Sequence[tuple[float, float]]) -> float:
     return float(r_from_sums(len(arr), 0.0, 0.0, y @ y, z @ z, y @ z))
 
 
-def sigma_rho(m: MomentSpec, rho: float) -> float:
+def sigma_rho(m: Moments, rho: float) -> float:
     """Asymptotic standard deviation of sqrt(n)(R - rho)."""
-    mu = m.eval
     radicand = (
-        rho * rho * (mu(rho, 0, 4) + 2.0 * mu(rho, 2, 2) + mu(rho, 4, 0))
-        - 4.0 * rho * (mu(rho, 1, 3) + mu(rho, 3, 1))
-        + 4.0 * mu(rho, 2, 2)
+        rho * rho * (m(rho, 0, 4) + 2.0 * m(rho, 2, 2) + m(rho, 4, 0))
+        - 4.0 * rho * (m(rho, 1, 3) + m(rho, 3, 1))
+        + 4.0 * m(rho, 2, 2)
     )
     if radicand <= 0.0:
         raise DegenerateModelError(f"model degenerate at rho={rho}")
     return 0.5 * math.sqrt(radicand)
 
 
-def skew_lambda(m: MomentSpec, rho: float) -> float:
+def skew_lambda(m: Moments, rho: float) -> float:
     """Third moment of Lambda = (YZ - (rho/2)(Y^2 + Z^2)) / sigma.
 
     Computed from the cubic expansion of the defining expression; the
     numerator is a polynomial in rho with joint-moment coefficients.
     """
-    mu = m.eval
     s = sigma_rho(m, rho)
     w3 = (
-        mu(rho, 3, 3)
-        - 1.5 * rho * (mu(rho, 2, 4) + mu(rho, 4, 2))
-        + 0.75 * rho * rho * (mu(rho, 1, 5) + 2.0 * mu(rho, 3, 3) + mu(rho, 5, 1))
+        m(rho, 3, 3)
+        - 1.5 * rho * (m(rho, 2, 4) + m(rho, 4, 2))
+        + 0.75 * rho * rho * (m(rho, 1, 5) + 2.0 * m(rho, 3, 3) + m(rho, 5, 1))
         - 0.125 * rho ** 3 * (
-            mu(rho, 0, 6) + 3.0 * mu(rho, 2, 4) + 3.0 * mu(rho, 4, 2)
-            + mu(rho, 6, 0)
+            m(rho, 0, 6) + 3.0 * m(rho, 2, 4) + 3.0 * m(rho, 4, 2)
+            + m(rho, 6, 0)
         )
     )
     return w3 / s ** 3
 
 
-def delta_r_tilde(m: MomentSpec, rho: float, z: float) -> float:
+def delta_r_tilde(m: Moments, rho: float, z: float) -> float:
     """Polynomial part of the leading error term for R itself.
 
     The full term is Delta_R(z) = phi(z) * delta_r_tilde / (96 sigma^3).
     """
     def mu(i: int, j: int) -> float:
-        return m.eval(rho, i, j)
+        return m(rho, i, j)
 
     s2 = sigma_rho(m, rho) ** 2
     t = z * z
@@ -187,7 +180,7 @@ def delta_r_tilde(m: MomentSpec, rho: float, z: float) -> float:
     return term0 + term1 + term2 + term3
 
 
-def h_z(m: MomentSpec, rho: float, z: float) -> float:
+def h_z(m: Moments, rho: float, z: float) -> float:
     """Right-hand side of the optimality ODE psi''/psi' = h_z(rho)."""
     if z == 0.0:
         raise ValueError("h_z requires z != 0")
@@ -195,9 +188,7 @@ def h_z(m: MomentSpec, rho: float, z: float) -> float:
     return delta_r_tilde(m, rho, z) / (48.0 * s ** 4 * z * z)
 
 
-def optimal_transform_numeric(
-    m: MomentSpec, z: float, tol: Tolerance = Tolerance(1e-11, 1e-11, 100_000)
-) -> Transform:
+def optimal_transform_numeric(m: Moments, z: float) -> Transform:
     """Transform solving psi''/psi' = h_z with psi(0) = 0, psi'(0) = 1.
 
     The coupled system (psi, psi')' = (psi', h_z psi') is integrated with an
@@ -221,7 +212,7 @@ def optimal_transform_numeric(
         if start[0] == rho_abs:
             return start[1], start[2]
         psi, dpsi = integrate_ode(rhs, start[0], (start[1], start[2]),
-                                  rho_abs, tol)
+                                  rho_abs, NUMERIC_ODE_TOL)
         bisect.insort(points, (rho_abs, psi, dpsi))
         return psi, dpsi
 
@@ -234,7 +225,7 @@ def optimal_transform_numeric(
     return Transform(psi, dpsi, lambda rho: h_z(m, rho, z))
 
 
-def delta_psi(m: MomentSpec, t: Transform, rho: float, z: float) -> float:
+def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
     s = sigma_rho(m, rho)
     delta_r = normal_pdf(z) * delta_r_tilde(m, rho, z) / (96.0 * s ** 3)
@@ -294,7 +285,11 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
 
 
 # An R this close to r* is decided by tau itself, so that the rounding of r*
-# cannot flip an atom of a discrete R that sits on the threshold.
+# cannot flip an atom of a discrete R that sits on the threshold.  psi_closed
+# is not monotone at the ulp level even at ordinary exponents (SquareV at
+# z = 1.354803814772249, p = -0.15: psi(0.30151134457776335) >
+# psi(0.3015113445777634)), so no bisection, on psi or on tau, is sure to
+# place r* on the right side of every atom.
 _TIE_BAND = 1e-9
 
 
@@ -334,10 +329,10 @@ def _hessian(rho: float) -> np.ndarray:
     ])
 
 
-def assemble_statistic_model(m: MomentSpec, rho: float) -> edgeworth.EdgeworthModel:
+def assemble_statistic_model(m: Moments, rho: float) -> edgeworth.EdgeworthModel:
     """EdgeworthModel for R - rho = f(mean of V) with V the 5-dim score vector."""
     def mu(i: int, j: int) -> float:
-        return m.eval(rho, i, j)
+        return m(rho, i, j)
 
     Sigma = np.array([
         [1.0, rho, mu(3, 0), mu(1, 2), mu(2, 1)],

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -303,11 +306,48 @@ class TestSimulateValidatesFirst:
         {"transforms": ["probit"]},
         {"format": "xml"},
         {"rhos": [0.5, 1.5]},
+        {"N": 2.5},
+        {"N": True},
+        {"master_seed": 1.9},
+        {"master_seed": "7"},
+        {"ns": [10.7]},
+        {"alphas": 0.05},
+        {"rhos": "0.5"},
+        {"ns": 10},
+        {"transforms": "optimal"},
+        {"transfroms": ["optimal"]},
+        {"model": 5},
+        {"output_path": 5},
+        {"alphas": []},
+        {"transforms": ["fisher", "fisher"]},
     ])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, changes):
         code, err = self.simulate(capsys, tmp_path, **changes)
         assert code == 1
         assert "numeric failure" not in err
+        assert err.startswith("error: bad config: ")
+        unknown = set(changes) - set(self.BASE) - {"transforms", "format",
+                                                   "output_path"}
+        assert all(key in err for key in unknown)
+
+
+class TestReadConfig:
+    def test_readme_sample(self, tmp_path):
+        # the README's sample config is read as it stands, so the documented
+        # keys and the accepted keys cannot drift apart
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.DOTALL)
+        assert len(blocks) == 1
+        raw = json.loads(blocks[0])
+        raw["output_path"] = str(tmp_path / raw["output_path"])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        grid, output_path, fmt = cli.read_config(cfg_path)
+        assert (output_path, fmt) == (raw["output_path"], raw["format"])
+        assert dataclasses.asdict(grid) == {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in raw.items()
+            if key not in ("output_path", "format")}
 
 
 class TestSimulateWritesAtomically:

@@ -49,6 +49,29 @@ class TestExperimentGrid:
         with pytest.raises(ValueError):
             mc.ExperimentGrid("bvn", (0.05,), (0.0,), (10,), N=10,
                               transforms=("probit",))
+        # N, K, master_seed and every n are integers, bool refused; each
+        # list holds distinct values, at least one
+        for bad in ({"N": 2.5}, {"N": True}, {"K": 2.0},
+                    {"master_seed": 1.5}, {"master_seed": "7"},
+                    {"ns": (10.5,)}, {"ns": (10, False)}, {"model": 5},
+                    {"alphas": ()}, {"transforms": ()},
+                    {"rhos": (0.5, 0.5)}, {"ns": (10, 20, 10)}):
+            with pytest.raises(ValueError):
+                mc.ExperimentGrid(**{"model": "bvn", "alphas": (0.05,),
+                                     "rhos": (0.0,), "ns": (10,), "N": 10,
+                                     **bad})
+        grid = mc.ExperimentGrid("bvn", (0.05,), (0.0,), (np.int64(10),),
+                                 N=np.int32(10), K=np.int64(2),
+                                 master_seed=np.uint64(2 ** 64 - 1))
+        assert grid.cells() == [(0.05, 0.0, 10)]
+
+    def test_numpy_integers_run_as_ints(self):
+        grid = mc.ExperimentGrid("squarev", (0.05,), (0.5,), (np.int64(10),),
+                                 N=np.int64(100), K=np.int32(2),
+                                 master_seed=np.int64(7))
+        ints = mc.ExperimentGrid("squarev", (0.05,), (0.5,), (10,), N=100,
+                                 K=2, master_seed=7)
+        assert mc.run_grid(grid) == mc.run_grid(ints)
 
 
 class TestRejectionThreshold:
@@ -125,6 +148,18 @@ class TestRunCell:
         exact = mo.squarev_exact_rejection(rho, n, t, alpha)
         hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N,
                           mc.substream(123, 2, 0))
+        assert abs(hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / N)
+
+    def test_squarev_atom_on_the_threshold_at_rho_minus_0_9(self):
+        # R = 0 on the Fisher threshold (alpha 0.0757), where sqrt(1 - rho^2)
+        # and SQUAREV.sigma differ in the last bit: the oracle must take the
+        # sigma Monte Carlo takes (with the former it read 0.00355, +807 sd)
+        n, rho, N = 5, -0.9, 400_000
+        t = pe.fisher_transform()
+        alpha = 1.0 - normal_cdf(pe.tau(t, 0.0, rho, mo.SQUAREV.sigma(rho), n))
+        exact = mo.squarev_exact_rejection(rho, n, t, alpha)
+        hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N,
+                          mc.substream(123, 3, 0))
         assert abs(hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / N)
 
     def test_squarev_never_rejects_cell(self):

@@ -84,7 +84,7 @@ class TestSigmaRho:
             math.sqrt(0.75), abs=1e-13)
 
     def test_independent_pair(self):
-        spec = pe.MomentSpec(lambda rho, i, j: mo.bvn_moments(0.0, i, j))
+        spec = lambda rho, i, j: mo.bvn_moments(0.0, i, j)
         assert pe.sigma_rho(spec, 0.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_even_in_rho(self):
