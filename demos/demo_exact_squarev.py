@@ -3,9 +3,11 @@ Exact small-sample rejection probabilities
 ==========================================
 
 The four-point vertex model ("SquareV") puts (Y, Z) on the corners of the
-square [-1, 1]^2, so a sample of size n is a multinomial over four cells
-and every rejection probability can be computed exactly by enumeration --
-no Monte Carlo noise at all.  This script reproduces a few quirks of the
+square [-1, 1]^2: Y is a fair sign and W = YZ an independent sign with
+P(W = 1) = (1 + rho)/2.  A sample of size n is then three binomial counts
+(the W = 1 pairs, and the Y = 1 pairs among those with W = 1 and with
+W = -1), and every rejection probability can be computed exactly by summing
+over them -- no Monte Carlo noise at all.  This script reproduces a few quirks of the
 small-sample behavior that simulations can only estimate.
 """
 

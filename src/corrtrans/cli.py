@@ -202,49 +202,45 @@ def _cmd_simulate(args, digits: int) -> None:
     print(f"wrote {len(rows)} rows to {out}")
 
 
-def _read_table(path: Path) -> list[dict]:
-    if path.suffix == ".json":
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+def _read_table(path: Path) -> list[tuple]:
+    """(transform, alpha, rho, n, eps_mean, eps_se, row) per row as read."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        rows = json.load(fh) if path.suffix == ".json" else list(
+            csv.DictReader(fh))
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise ValueError("a JSON table must be a list of objects")
+    return [(str(r["transform"]), float(r["alpha"]), float(r["rho"]),
+             int(r["n"]), float(r["eps_mean"]), float(r["eps_se"]), r)
+            for r in rows]
 
 
 def _cmd_table(args, digits: int) -> None:
     path = Path(args.input)
     if not path.is_file():
         raise _UsageError(f"input file not found: {path}")
-    rows = _read_table(path)
-    transforms = sorted({r["transform"] for r in rows})
+    try:
+        rows = _read_table(path)
+    except (ValueError, TypeError, csv.Error) as exc:
+        raise _UsageError(f"bad table: {exc}")
+    except KeyError as exc:
+        raise _UsageError(f"bad table: missing column {exc}")
     if args.plot_data:
         # (n, eps * sqrt(n)) series, one per (transform, alpha, rho)
         print("transform,alpha,rho,n,eps_sqrt_n")
-        for r in sorted(rows, key=lambda r: (r["transform"], float(r["alpha"]),
-                                             float(r["rho"]), int(r["n"]))):
-            n = int(r["n"])
-            scaled = float(r["eps_mean"]) * math.sqrt(n)
-            print(f"{r['transform']},{r['alpha']},{r['rho']},{n},"
-                  f"{_fmt(scaled, digits)}")
+        for kind, _, _, n, eps, _, r in sorted(rows, key=lambda r: r[:4]):
+            print(f"{kind},{r['alpha']},{r['rho']},{n},"
+                  f"{_fmt(eps * math.sqrt(n), digits)}")
         return
-    keys = sorted({(float(r["alpha"]), float(r["rho"]), int(r["n"]))
-                   for r in rows})
-    by_cell = {(r["transform"], float(r["alpha"]), float(r["rho"]),
-                int(r["n"])): r for r in rows}
-    header = f"{'alpha':>6} {'rho':>5} {'n':>7}"
-    for kind in transforms:
-        header += f"  {kind:>24}"
-    print(header)
-    for alpha, rho, n in keys:
-        line = f"{alpha:>6g} {rho:>5g} {n:>7d}"
-        for kind in transforms:
-            r = by_cell.get((kind, alpha, rho, n))
-            if r is None:
-                line += f"  {'-':>24}"
-            else:
-                entry = (f"{_fmt(float(r['eps_mean']), digits)} "
-                         f"+/- {_fmt(float(r['eps_se']), digits)}")
-                line += f"  {entry:>24}"
-        print(line)
+    transforms = sorted({r[0] for r in rows})
+    by_cell = {r[:4]: r for r in rows}
+    print(f"{'alpha':>6} {'rho':>5} {'n':>7}"
+          + "".join(f"  {kind:>24}" for kind in transforms))
+    for alpha, rho, n in sorted({r[1:4] for r in rows}):
+        cells = (by_cell.get((kind, alpha, rho, n)) for kind in transforms)
+        entries = (f"{_fmt(r[4], digits)} +/- {_fmt(r[5], digits)}" if r
+                   else "-" for r in cells)
+        print(f"{alpha:>6g} {rho:>5g} {n:>7d}"
+              + "".join(f"  {entry:>24}" for entry in entries))
 
 
 _COMMANDS = {

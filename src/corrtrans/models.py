@@ -1,7 +1,8 @@
 """The two built-in correlation-parametrized models.
 
 BVN: bivariate normal with standardized marginals.  SquareV: the four-point
-law on the vertices of [-1, 1]^2 with cell probabilities (1 +/- rho)/4.
+law on the vertices of [-1, 1]^2: Y a fair sign, W = YZ an independent sign
+with P(W = 1) = (1 + rho)/2, so the cell probabilities are (1 +/- rho)/4.
 Both come with closed-form joint moments, seeded draws of R, closed-form
 optimal transforms, closed-form leading error terms, dominance ranges, and
 (for SquareV) an exact small-n rejection oracle.
@@ -9,7 +10,8 @@ optimal transforms, closed-form leading error terms, dominance ranges, and
 R depends on a sample only through a few sums, so each model draws those
 instead of n pairs: for BVN the centred scatter matrix, which is
 Wishart(Sigma, n - 1), by the Bartlett decomposition (three draws); for
-SquareV the cell counts, which are Multinomial(n, p(rho)).
+SquareV a = #{W = 1} ~ Bin(n, (1 + rho)/2), u = #{Y = 1, W = 1} ~ Bin(a, 1/2)
+and v = #{Y = 1, W = -1} ~ Bin(n - a, 1/2), the (a, u, v) the oracle sums over.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .pearson import (
     Transform,
     fisher_transform,
     identity_transform,
+    is_integer,
     r_from_sums,
     rejection_rule,
     sigma_rho,
@@ -89,17 +92,12 @@ def _check_orders(i: int, j: int) -> None:
         raise ValueError("moment orders must satisfy 0 <= i, j and i + j <= 6")
 
 
-def _squarev_probs(rho: float) -> np.ndarray:
-    """Cell probabilities in the order (1,1), (1,-1), (-1,1), (-1,-1)."""
-    p_same = (1.0 + rho) / 4.0
-    p_diff = (1.0 - rho) / 4.0
-    return np.array([p_same, p_diff, p_diff, p_same])
-
-
-def _squarev_r(n: int, n11, n1m, nm1, nmm) -> np.ndarray:
-    """R of SquareV samples of size n from their cell counts (arrays)."""
-    return r_from_sums(n, n11 + n1m - nm1 - nmm, n11 - n1m + nm1 - nmm,
-                       n, n, n11 - n1m - nm1 + nmm)
+def _squarev_r(n: int, a, u, v) -> np.ndarray:
+    """R of SquareV samples of size n from a = #{W = 1}, u = #{Y = 1, W = 1}
+    and v = #{Y = 1, W = -1} (arrays), W = YZ; the cell counts of (1, 1),
+    (1, -1), (-1, 1), (-1, -1) are u, v, n - a - v, a - u."""
+    syz = 2 * a - n
+    return r_from_sums(n, 2 * (u + v) - n, 2 * (u - v) - syz, n, n, syz)
 
 
 def _bvn_sample_r(rho: float, rows: int, n: int, rng: np.random.Generator
@@ -121,8 +119,8 @@ def _bvn_sample_r(rho: float, rows: int, n: int, rng: np.random.Generator
 
 def _squarev_sample_r(rho: float, rows: int, n: int,
                       rng: np.random.Generator) -> np.ndarray:
-    counts = rng.multinomial(n, _squarev_probs(rho), size=rows)
-    return _squarev_r(n, *counts.T)
+    a = rng.binomial(n, (1.0 + rho) / 2.0, rows)
+    return _squarev_r(n, a, rng.binomial(a, 0.5), rng.binomial(n - a, 0.5))
 
 
 @dataclass(frozen=True)
@@ -320,35 +318,35 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
                             alpha: float) -> float:
     """Exact rejection probability of the one-sided test under SquareV.
 
-    Enumerates all multinomial cell-count vectors over the four vertices,
-    computes R (value 0 on a degenerate denominator) and sums the
-    probabilities of the atoms that `pearson.rejection_rule` rejects, with
-    sigma = SQUAREV.sigma(rho): the rule and the sigma Monte Carlo counts
-    by, so an atom on the threshold is decided alike in both.
+    With W = YZ, a = #{W = 1} ~ Bin(n, (1 + rho)/2), and given a the counts
+    u = #{Y = 1, W = 1} ~ Bin(a, 1/2) and v = #{Y = 1, W = -1} ~
+    Bin(n - a, 1/2) are independent.  For each a, R is computed on the
+    (u, v) plane (0 on a degenerate denominator), and the atoms that
+    `pearson.rejection_rule` rejects, with sigma = SQUAREV.sigma(rho) (the
+    rule and sigma Monte Carlo counts by, so a threshold atom is decided
+    alike in both), add P(a) Bin(a, 1/2)(u) Bin(n - a, 1/2)(v).
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"exact enumeration requires -1 < rho < 1, "
                          f"got rho={rho}")
-    if n > 200:
-        raise ValueError("exact enumeration limited to n <= 200")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    logs = np.log(_squarev_probs(rho))
+    if not (is_integer(n) and 1 <= n <= 200):
+        raise ValueError(f"exact enumeration requires an integer "
+                         f"1 <= n <= 200, got n={n!r}")
     lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+
+    def pmf(m: int, log_p: float, log_q: float) -> np.ndarray:
+        # Bin(m, p) at 0..m, from log p and log q = log(1 - p)
+        k = np.arange(m + 1)
+        return np.exp(lf[m] - lf[k] - lf[m - k] + k * log_p + (m - k) * log_q)
+
+    half = math.log(0.5)
+    p_a = pmf(n, math.log((1.0 + rho) / 2.0), math.log((1.0 - rho) / 2.0))
     rejects = rejection_rule(t, rho, SQUAREV.sigma(rho), n, alpha)
-
-    def rejected_probabilities():
-        for n11 in range(n + 1):
-            # one n11 slice at a time keeps the arrays at O(n^2) entries
-            rest = n - n11
-            counts = np.arange(rest + 1)
-            n1m, nm1 = np.nonzero(np.add.outer(counts, counts) <= rest)
-            nmm = rest - n1m - nm1
-            reject = rejects(_squarev_r(n, n11, n1m, nm1, nmm))
-            n1m, nm1, nmm = n1m[reject], nm1[reject], nmm[reject]
-            logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
-                    + n11 * logs[0] + n1m * logs[1]
-                    + nm1 * logs[2] + nmm * logs[3])
-            yield from np.exp(logp).tolist()
-
-    return min(1.0, math.fsum(rejected_probabilities()))
+    terms = []
+    for a in range(n + 1):
+        # one a at a time keeps the arrays at O(n^2) entries
+        reject = rejects(_squarev_r(n, a, np.arange(a + 1)[:, None],
+                                    np.arange(n - a + 1)))
+        mass = pmf(a, half, half) @ reject @ pmf(n - a, half, half)
+        terms.append(float(p_a[a] * mass))
+    return min(1.0, math.fsum(terms))

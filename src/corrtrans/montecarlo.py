@@ -14,7 +14,6 @@ are counted by `pearson.rejection_rule`, as the exact SquareV oracle is.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from . import models as _models
-from .pearson import Transform, rejection_rule
+from .pearson import Transform, is_integer, rejection_rule
 from .specfun import normal_quantile
 
 __all__ = [
@@ -82,9 +81,8 @@ class ExperimentGrid:
     transforms: tuple[str, ...] = _models.TRANSFORM_KINDS
 
     def __post_init__(self) -> None:
-        # numpy integers are Integral, bools are too but are refused
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool)
-                   for v in (self.N, self.K, self.master_seed, *self.ns)):
+        if not all(map(is_integer, (self.N, self.K, self.master_seed,
+                                    *self.ns))):
             raise ValueError("N, K, master_seed and every n must be integers")
         # a repeated value would sample its cells twice and keep one result
         for values in (self.alphas, self.rhos, self.ns, self.transforms):
@@ -122,10 +120,9 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
              alpha: float, rho: float, n: int, N: int,
              rng: np.random.Generator) -> float:
     """Rejection rate of tau > z_alpha over N samples of size n."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    if not (is_integer(n) and is_integer(N) and n >= 2 and N >= 1):
+        raise ValueError(f"n and N must be integers, n >= 2 and N >= 1, "
+                         f"got n={n!r}, N={N!r}")
     rejects = rejection_rule(transform, rho, model.sigma(rho), n, alpha)
     r = model.sample_r(rho, N, n, rng)
     return int(np.count_nonzero(rejects(r))) / N

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -21,6 +22,7 @@ __all__ = [
     "Moments",
     "Transform",
     "DegenerateModelError",
+    "is_integer",
     "identity_transform",
     "fisher_transform",
     "r_from_sums",
@@ -47,6 +49,11 @@ Moments = Callable[[float, int, int], float]
 
 class DegenerateModelError(ValueError):
     """The model's asymptotic variance is not positive at this rho."""
+
+
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; a bool or a float is refused."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -272,8 +279,6 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     if cut == psi_rho and z_alpha != 0.0:
         raise DegenerateModelError(f"psi(rho) = {psi_rho} absorbs z_alpha "
                                    f"psi'(rho) sigma / sqrt(n) at rho={rho}")
-    if not tau(t, 1.0, rho, sigma, n) > z_alpha:
-        return math.inf
     lo, hi = -1.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -281,6 +286,9 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
             hi = mid
         else:
             lo = mid
+    # tau(1) only if nothing below 1 rejects: numeric psi stops short of 1
+    if hi == 1.0 and not tau(t, 1.0, rho, sigma, n) > z_alpha:
+        return math.inf
     return 0.5 * (lo + hi)
 
 

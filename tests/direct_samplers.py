@@ -62,3 +62,20 @@ def bvn_sample_r_reference(rho: float, rows: int, n: int,
     s2 = 1.0 - rho * rho
     x = rho * c1 + math.sqrt(s2) * g
     return r_from_sums_reference(n, 0.0, 0.0, c1sq, x * x + s2 * c2sq, c1 * x)
+
+
+def squarev_sample_r_reference(rho: float, rows: int, n: int,
+                               rng: np.random.Generator) -> np.ndarray:
+    """The SquareV sampler of `models` written out: W = YZ is 1 with
+    probability (1 + rho)/2 and Y is a fair sign independent of W, so
+    a = #{W = 1}, u = #{Y = 1, W = 1} and v = #{Y = 1, W = -1} are three
+    binomials; R from the four cell counts.  It must draw the same R bit for
+    bit."""
+    a = rng.binomial(n, (1.0 + rho) / 2.0, rows)
+    u = rng.binomial(a, 0.5)
+    v = rng.binomial(n - a, 0.5)
+    # cells (1, 1), (1, -1), (-1, 1), (-1, -1)
+    n11, n1m, nm1, nmm = u, v, n - a - v, a - u
+    return r_from_sums_reference(n, n11 + n1m - nm1 - nmm,
+                                 n11 - n1m + nm1 - nmm, n, n,
+                                 n11 - n1m - nm1 + nmm)

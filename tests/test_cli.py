@@ -265,6 +265,37 @@ class TestSimulateAndTable:
         assert run(capsys, "simulate", "--config", str(cfg_path))[0] == 1
 
 
+_TABLE_ROW = {"model": "squarev", "transform": "identity", "alpha": 0.05,
+              "rho": 0.5, "n": 10, "N": 100, "K": 2, "seed": 1,
+              "eps_mean": 0.1, "eps_sd": 0.2, "eps_se": 0.1,
+              "alpha_hat_mean": 0.055}
+
+
+class TestBadTable:
+    @pytest.mark.parametrize("name, text", [
+        ("run.csv", "alpha,rho\n0.05,0.5\n"),  # no CSV_FIELDS columns
+        ("run.json", json.dumps(_TABLE_ROW)),  # an object, not a list
+        ("run.json", "{not json"),
+        ("run.csv", ",".join(cli.CSV_FIELDS) + "\n" + ",".join(
+            str({**_TABLE_ROW, "n": "ten"}[key]) for key in cli.CSV_FIELDS)),
+    ], ids=["no-columns", "json-object", "not-json", "n-ten"])
+    def test_bad_table_is_usage_error(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        for extra in ((), ("--plot-data",)):
+            code, _, err = run(capsys, "table", "--input", str(path), *extra)
+            assert code == 1
+            assert err.startswith("error: bad table: ")
+
+    def test_good_row_renders(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps([_TABLE_ROW]))
+        code, out, _ = run(capsys, "table", "--input", str(path))
+        assert code == 0
+        assert out.splitlines()[1].split() == ["0.05", "0.5", "10", "0.1",
+                                               "+/-", "0.1"]
+
+
 class TestSimulateValidatesFirst:
     BASE = {"model": "squarev", "alphas": [0.05], "rhos": [0.5], "ns": [10],
             "N": 100, "K": 2, "master_seed": 3}

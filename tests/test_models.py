@@ -18,6 +18,7 @@ from direct_samplers import (
     sample_bvn,
     sample_squarev,
     sample_squarev_via_bvn,
+    squarev_sample_r_reference,
 )
 
 Z05 = normal_quantile(0.95)
@@ -407,6 +408,12 @@ def _count_vectors(n):
                      for c in range(n - a - b + 1)])
 
 
+def _kernel_r(n, vecs):
+    # mo._squarev_r of cell-count vectors: a = n11 + nmm, u = n11, v = n1m
+    n11, n1m, _, nmm = vecs.T
+    return mo._squarev_r(n, n11 + nmm, n11, n1m)
+
+
 def _squarev_r(n11, n1m, nm1, nmm, n):
     # Pearson R of a four-vertex sample from its cell counts, one at a time
     ybar = (n11 + n1m - nm1 - nmm) / n
@@ -426,7 +433,7 @@ class TestSquarevR:
         # where every Y or every Z is equal (R := 0)
         for n in range(1, 31):
             vecs = _count_vectors(n)
-            got = mo._squarev_r(n, *vecs.T)
+            got = _kernel_r(n, vecs)
             want = [_squarev_r(*map(int, v), n) for v in vecs]
             assert np.array_equal(got, want), n
 
@@ -459,6 +466,16 @@ class TestSampleR:
                 rho, rows, n, np.random.Generator(np.random.Philox(key=key)))
             assert np.array_equal(got, want), key
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 200])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.99])
+    def test_squarev_draws_match_reference_bitwise(self, rho, n):
+        for key, rows in ((0, 1), (7, 5000), (2 ** 64 - 1, 40_000)):
+            got = mo.SQUAREV.sample_r(
+                rho, rows, n, np.random.Generator(np.random.Philox(key=key)))
+            want = squarev_sample_r_reference(
+                rho, rows, n, np.random.Generator(np.random.Philox(key=key)))
+            assert np.array_equal(got, want), key
+
     @pytest.mark.parametrize("n", [2, 10, 20])
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])
     def test_squarev_atoms_follow_the_lattice_pmf(self, rho, n):
@@ -467,7 +484,7 @@ class TestSampleR:
         logs = np.log([(1 + rho) / 4, (1 - rho) / 4, (1 - rho) / 4,
                        (1 + rho) / 4])
         logp = lf[n] - lf[vecs].sum(axis=1) + vecs @ logs
-        atoms, atom_of = np.unique(mo._squarev_r(n, *vecs.T),
+        atoms, atom_of = np.unique(_kernel_r(n, vecs),
                                    return_inverse=True)
         pmf = np.bincount(atom_of, weights=np.exp(logp))
         assert pmf.sum() == pytest.approx(1.0, abs=1e-12)
@@ -519,7 +536,8 @@ class TestSampleR:
 def _squarev_exact_rejection_loop(rho, n, t, alpha):
     # one Python step per lattice point: tau of every atom against z_alpha,
     # and the probabilities of the rejected atoms summed in order
-    probs = mo._squarev_probs(rho)
+    probs = np.array([(1 + rho) / 4, (1 - rho) / 4, (1 - rho) / 4,
+                      (1 + rho) / 4])
     logs = np.log(np.maximum(probs, 1e-300))
     lf = tuple(log_gamma(k + 1.0) for k in range(n + 1))
     z_alpha = normal_quantile(1.0 - alpha)
@@ -551,9 +569,33 @@ def _squarev_exact_rejection_loop(rho, n, t, alpha):
     return min(1.0, total)
 
 
+def _squarev_exact_rejection_slices(rho, n, t, alpha):
+    # the multinomial enumeration of the four cell counts, one n11 slice of
+    # (n1m, nm1) at a time, decided by the rule Monte Carlo counts by
+    logs = np.log([(1 + rho) / 4, (1 - rho) / 4, (1 - rho) / 4,
+                   (1 + rho) / 4])
+    lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+    rejects = pe.rejection_rule(t, rho, mo.SQUAREV.sigma(rho), n, alpha)
+    probs = []
+    for n11 in range(n + 1):
+        rest = n - n11
+        counts = np.arange(rest + 1)
+        n1m, nm1 = np.nonzero(np.add.outer(counts, counts) <= rest)
+        nmm = rest - n1m - nm1
+        reject = rejects(pe.r_from_sums(n, n11 + n1m - nm1 - nmm,
+                                        n11 - n1m + nm1 - nmm, n, n,
+                                        n11 - n1m - nm1 + nmm))
+        n1m, nm1, nmm = n1m[reject], nm1[reject], nmm[reject]
+        logp = (lf[n] - lf[n11] - lf[n1m] - lf[nm1] - lf[nmm]
+                + n11 * logs[0] + n1m * logs[1]
+                + nm1 * logs[2] + nmm * logs[3])
+        probs.extend(np.exp(logp).tolist())
+    return min(1.0, math.fsum(probs))
+
+
 def _lattice_r_values(n):
     # the distinct values of R over all cell-count vectors of size n
-    return np.unique(mo._squarev_r(n, *_count_vectors(n).T)).tolist()
+    return np.unique(_kernel_r(n, _count_vectors(n))).tolist()
 
 
 KINDS = ("identity", "fisher", "optimal")
@@ -606,6 +648,31 @@ class TestSquarevExactRejection:
                     assert (got == 0.0) == (want == 0.0), (rho, alpha, n)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
                         (rho, alpha, n)
+
+    # fewer rhos at n = 200 keep the enumeration's cost down
+    @pytest.mark.parametrize("n, rhos", [(50, (-0.5, 0.0, 0.5, 0.9)),
+                                         (100, (-0.5, 0.0, 0.5, 0.9)),
+                                         (200, (0.5, 0.9))])
+    def test_matches_cell_count_enumeration(self, n, rhos):
+        # beyond the loop oracle's reach: the four-cell multinomial sum
+        for kind in KINDS:
+            for rho in rhos:
+                for alpha in (0.01, 0.05):
+                    t = mo.transform_for(mo.SQUAREV, kind,
+                                         normal_quantile(1.0 - alpha))
+                    got = mo.squarev_exact_rejection(rho, n, t, alpha)
+                    want = _squarev_exact_rejection_slices(rho, n, t, alpha)
+                    assert (got == 0.0) == (want == 0.0), (kind, rho, alpha)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
+                        (kind, rho, alpha)
+
+    def test_refuses_a_non_integer_n(self):
+        t = pe.identity_transform()
+        for n in (10.0, 10.5, True, "10"):
+            with pytest.raises(ValueError, match="integer"):
+                mo.squarev_exact_rejection(0.5, n, t, 0.05)
+        assert mo.squarev_exact_rejection(0.5, np.int64(10), t, 0.05) == \
+            mo.squarev_exact_rejection(0.5, 10, t, 0.05)
 
     # every second lattice value at n = 20 keeps the loop oracle's cost down
     @pytest.mark.parametrize("n, stride", [(5, 1), (10, 1), (20, 2)])

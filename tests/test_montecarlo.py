@@ -138,12 +138,13 @@ class TestRunCell:
         assert abs(hat - exact) <= bound
 
     def test_squarev_atom_on_the_threshold(self):
-        # the counts (1, 0, 3, 1) give R = 1/4 (0.2499...94 in floats), and
-        # alpha = 1 - Phi(tau(R)) puts that atom, 4% of the mass, on the
-        # Fisher threshold: Monte Carlo must decide it as the oracle does
+        # the counts (1, 0, 3, 1), i.e. a = 2, u = 1, v = 0, give R = 1/4
+        # (0.2499...94 in floats), and alpha = 1 - Phi(tau(R)) puts that
+        # atom, 4% of the mass, on the Fisher threshold: Monte Carlo must
+        # decide it as the oracle does
         n, rho, N = 5, 0.0, 400_000
         t = pe.fisher_transform()
-        r0 = float(mo._squarev_r(n, 1, 0, 3, 1))
+        r0 = float(mo._squarev_r(n, 2, 1, 0))
         alpha = 1.0 - normal_cdf(pe.tau(t, r0, rho, 1.0, n))
         exact = mo.squarev_exact_rejection(rho, n, t, alpha)
         hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N,
@@ -177,6 +178,31 @@ class TestRunCell:
         hat = mc.run_cell(mo.BVN, t, alpha, 0.0, n, N, rng)
         se = math.sqrt(alpha * (1 - alpha) / N)
         assert abs(hat - alpha) < 5 * se + 0.1 / n
+
+    @pytest.mark.parametrize("rho, n", [(0.5, 100), (0.0, 10), (0.9, 1000),
+                                        (-0.5, 50)])
+    def test_numeric_transform_counts_as_closed_form(self, rho, n):
+        # a numeric transform is not defined at R = 1, so its r* is found
+        # without psi(1); on the same draws it rejects what the closed form
+        # rejects
+        alpha, N = 0.05, 200_000
+        z = normal_quantile(1.0 - alpha)
+        hats = [mc.run_cell(mo.BVN, t, alpha, rho, n, N, mc.substream(9, 0, 0))
+                for t in (pe.optimal_transform_numeric(mo.BVN.moments, z),
+                          mo.optimal_transform_closed(mo.BVN, z))]
+        assert hats[0] == hats[1]
+
+    def test_refuses_non_integer_sizes(self):
+        t = pe.identity_transform()
+        for n, N in ((10.5, 100), (10.0, 100), (True, 100), (10, 2.5),
+                     (10, True)):
+            with pytest.raises(ValueError, match="integers"):
+                mc.run_cell(mo.SQUAREV, t, 0.05, 0.5, n, N,
+                            mc.substream(1, 0, 0))
+        hats = [mc.run_cell(mo.SQUAREV, t, 0.05, 0.5, n, N,
+                            mc.substream(1, 0, 0))
+                for n, N in ((10, 100), (np.int64(10), np.int32(100)))]
+        assert hats[0] == hats[1]
 
 
 class TestPredictedRelativeError:
