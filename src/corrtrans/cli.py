@@ -209,6 +209,9 @@ def _read_table(path: Path) -> list[tuple]:
             csv.DictReader(fh))
     if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
         raise ValueError("a JSON table must be a list of objects")
+    # int() parses CSV text, but would cut a JSON 10.7 to 10 and read true as 1
+    if not all(isinstance(r["n"], str) or pe.is_integer(r["n"]) for r in rows):
+        raise ValueError("n must be an integer")
     return [(str(r["transform"]), float(r["alpha"]), float(r["rho"]),
              int(r["n"]), float(r["eps_mean"]), float(r["eps_se"]), r)
             for r in rows]

@@ -193,8 +193,9 @@ def optimal_exponent(model: DependenceModel, z: float) -> float:
     p = -(1 + B/z^2)/k, computed as 1/(c z^2) - 1/k with c = -k/B so that it
     rounds like the paper's p_z = 1/(2z^2) - 1 and q_z = 1/(3z^2) - 1/3.
     """
-    if z == 0.0:
-        raise ValueError("optimal exponent requires z != 0")
+    if z == 0.0 or math.isnan(z):
+        raise ValueError("optimal exponent requires z other than 0 or "
+                         f"NaN, got {z}")
     k = model.fisher_slope
     return 1.0 / (-k / model.delta_const * z * z) - 1.0 / k
 
@@ -259,6 +260,8 @@ def _delta_shape(model: DependenceModel, kind: str, t, t_ref):
 def delta_closed(model: DependenceModel, kind: str, z: float, rho: float,
                  z_ref: float | None = None) -> float:
     """Closed-form leading error term Delta_psi(z), phi(z) factor included."""
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"delta_closed requires -1 < rho < 1, got {rho}")
     t_ref = None
     if kind == "optimal":
         if z_ref is None:

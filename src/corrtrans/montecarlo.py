@@ -1,14 +1,15 @@
 """Seeded parallel Monte Carlo grid runs for rejection-rate calibration.
 
 Each grid cell (alpha, rho, n) is simulated by K workers; worker k of cell c
-uses a Philox substream keyed by an avalanche mix of (master_seed, c, k), so
-results are bit-identical regardless of scheduling or thread count.  All
-transforms requested for a cell are evaluated on the same samples, as one
-would do on a shared simulation budget.  A worker draws its N values of R in
-one call to the model's `sample_r`, which costs O(1) per sample whatever n
-is, so a task holds O(N) memory; tasks run on threads of one process (numpy
-draws without the GIL), so a run holds about width x that at a time.  Draws
-are counted by `pearson.rejection_rule`, as the exact SquareV oracle is.
+draws from Philox keyed by numpy's SeedSequence(master_seed, spawn_key=(c,
+k)), which hashes the whole seed, so results are bit-identical regardless of
+scheduling or thread count.  All transforms requested for a cell are
+evaluated on the same samples, as one would do on a shared simulation
+budget.  A worker draws its N values of R in one call to the model's
+`sample_r`, which costs O(1) per sample whatever n is, so a task holds O(N)
+memory; tasks run on threads of one process (numpy draws without the GIL),
+so a run holds about width x that at a time.  Draws are counted by
+`pearson.rejection_rule`, as the exact SquareV oracle is.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "ConfigError",
     "ExperimentGrid",
     "CellResult",
-    "mix64",
     "substream",
     "run_cell",
     "aggregate",
@@ -41,24 +41,12 @@ __all__ = [
 THREADS_ENV = "CORRTRANS_THREADS"
 
 
-def mix64(*parts: int) -> int:
-    """Avalanche-mix a sequence of integers into one 64-bit seed."""
-    h = 0x9E3779B97F4A7C15
-    for part in parts:
-        h ^= int(part) & 0xFFFFFFFFFFFFFFFF  # int(): numpy ints would overflow
-        # splitmix64 finalizer
-        h = (h + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-        h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-        h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-        h ^= h >> 31
-    return h
-
-
 def substream(master_seed: int, cell_index: int, worker_index: int
               ) -> np.random.Generator:
-    """Counter-based generator for one (cell, worker) pair."""
-    key = mix64(master_seed, cell_index, worker_index)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for one (cell, worker); master_seed >= 0."""
+    seq = np.random.SeedSequence(master_seed,
+                                 spawn_key=(cell_index, worker_index))
+    return np.random.Generator(np.random.Philox(seq))
 
 
 class ConfigError(ValueError):
@@ -89,8 +77,8 @@ class ExperimentGrid:
             if not values or len(set(values)) < len(values):
                 raise ValueError(f"grid values must be distinct and "
                                  f"non-empty, got {values!r}")
-        if self.N < 1 or self.K < 1:
-            raise ValueError("N and K must be >= 1")
+        if self.N < 1 or self.K < 1 or self.master_seed < 0:
+            raise ValueError("N and K must be >= 1, master_seed >= 0")
         if any(not 0.0 < a < 0.5 for a in self.alphas):
             raise ValueError("all alphas must lie in (0, 0.5)")
         if any(not -1.0 < rho < 1.0 for rho in self.rhos):

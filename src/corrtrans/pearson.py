@@ -119,7 +119,7 @@ def sigma_rho(m: Moments, rho: float) -> float:
         - 4.0 * rho * (m(rho, 1, 3) + m(rho, 3, 1))
         + 4.0 * m(rho, 2, 2)
     )
-    if radicand <= 0.0:
+    if not radicand > 0.0:
         raise DegenerateModelError(f"model degenerate at rho={rho}")
     return 0.5 * math.sqrt(radicand)
 
@@ -272,6 +272,8 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     DegenerateModelError when psi(rho) absorbs the step
     z_alpha psi'(rho) sigma / sqrt(n) in rounding, which leaves r* undefined.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     z_alpha = normal_quantile(1.0 - alpha)
     dpsi = _checked_dpsi(t, rho, sigma)
     psi_rho = t.psi(rho)

@@ -73,14 +73,14 @@ def normal_quantile(p: float) -> float:
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
+    if not x > 0.0:
         raise ValueError("log_gamma requires x > 0")
     return math.lgamma(x)
 
 
 def gamma_ratio_endpoint(p: float) -> float:
     """sqrt(pi) Gamma(p+1) / (2 Gamma(p+3/2)) = integral of (1-r^2)^p over [0,1]."""
-    if p <= -1.0:
+    if not p > -1.0:
         raise ValueError("gamma_ratio_endpoint requires p > -1")
     if p < 20.0:
         return 0.5 * math.exp(0.5 * math.log(math.pi) + log_gamma(p + 1.0)
@@ -195,7 +195,7 @@ def gauss_2f1_half(p: float, x: float) -> float:
     [0, 1] less (1-x)^(p+1) / (2(p+1)) 2F1(p+1, 1/2; p+2; 1-x)."""
     if not 0.0 <= x < 1.0:
         raise ValueError("gauss_2f1_half requires 0 <= x < 1")
-    if p <= -1.0:
+    if not p > -1.0:
         raise ValueError("gauss_2f1_half requires p > -1")
     if x == 0.0 or p == 0.0:
         return 1.0

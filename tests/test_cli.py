@@ -192,6 +192,20 @@ class TestExitCodes:
         assert err.startswith("numeric failure:")
 
 
+    @pytest.mark.parametrize("argv", [
+        ("delta", "--model", "bvn", "--transform", "identity",
+         "--rho", "nan", "--z", "1"),
+        ("transform", "--model", "bvn", "--z", "nan", "--rho", "0.3"),
+        ("transform", "--model", "bvn", "--z", "nan", "--rho", "1"),
+    ])
+    def test_nan_is_numeric_failure(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "did not converge" not in err
+        assert err.startswith("numeric failure:")
+
+
 class TestSimulateAndTable:
     @pytest.fixture()
     def run_csv(self, capsys, tmp_path, monkeypatch):
@@ -278,7 +292,10 @@ class TestBadTable:
         ("run.json", "{not json"),
         ("run.csv", ",".join(cli.CSV_FIELDS) + "\n" + ",".join(
             str({**_TABLE_ROW, "n": "ten"}[key]) for key in cli.CSV_FIELDS)),
-    ], ids=["no-columns", "json-object", "not-json", "n-ten"])
+        ("run.json", json.dumps([{**_TABLE_ROW, "n": 10.7}])),
+        ("run.json", json.dumps([{**_TABLE_ROW, "n": True}])),
+    ], ids=["no-columns", "json-object", "not-json", "n-ten", "json-n-float",
+            "json-n-true"])
     def test_bad_table_is_usage_error(self, capsys, tmp_path, name, text):
         path = tmp_path / name
         path.write_text(text)
@@ -351,6 +368,7 @@ class TestSimulateValidatesFirst:
         {"output_path": 5},
         {"alphas": []},
         {"transforms": ["fisher", "fisher"]},
+        {"master_seed": -1},
     ])
     def test_bad_config_is_usage_error(self, capsys, tmp_path, changes):
         code, err = self.simulate(capsys, tmp_path, **changes)

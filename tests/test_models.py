@@ -213,8 +213,9 @@ class TestOptimalExponent:
                 1 / (3 * z ** 2) - 1 / 3, rel=1e-15, abs=1e-15)
 
     def test_rejects_z_zero(self):
-        with pytest.raises(ValueError):
-            mo.optimal_exponent(mo.SQUAREV, 0.0)
+        for z in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                mo.optimal_exponent(mo.SQUAREV, z)
 
 
 class TestDeltaClosed:
@@ -233,6 +234,11 @@ class TestDeltaClosed:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             mo.delta_closed(mo.BVN, "probit", 1.0, 0.5)
+
+    def test_rejects_rho_outside_open_interval(self):
+        for rho in (1.0, -1.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match="rho"):
+                mo.delta_closed(mo.BVN, "identity", 1.0, rho)
 
     @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
     @pytest.mark.parametrize("kind", ["identity", "fisher", "optimal"])

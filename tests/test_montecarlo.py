@@ -13,17 +13,7 @@ from corrtrans import pearson as pe
 from corrtrans.specfun import normal_cdf, normal_quantile
 
 
-class TestMix64:
-    def test_deterministic(self):
-        assert mc.mix64(1, 2, 3) == mc.mix64(1, 2, 3)
-
-    def test_order_sensitive(self):
-        assert mc.mix64(1, 2) != mc.mix64(2, 1)
-
-    def test_range(self):
-        for args in [(0,), (0, 0, 0), (2 ** 63, 17)]:
-            assert 0 <= mc.mix64(*args) < 2 ** 64
-
+class TestSubstream:
     def test_substreams_differ(self):
         a = mc.substream(7, 0, 0).random(4)
         b = mc.substream(7, 0, 1).random(4)
@@ -53,6 +43,7 @@ class TestExperimentGrid:
         # list holds distinct values, at least one
         for bad in ({"N": 2.5}, {"N": True}, {"K": 2.0},
                     {"master_seed": 1.5}, {"master_seed": "7"},
+                    {"master_seed": -1},
                     {"ns": (10.5,)}, {"ns": (10, False)}, {"model": 5},
                     {"alphas": ()}, {"transforms": ()},
                     {"rhos": (0.5, 0.5)}, {"ns": (10, 20, 10)}):
@@ -272,6 +263,34 @@ class TestRunGrid:
         assert serial.keys() == parallel.keys()
         for key in serial:
             assert serial[key].alpha_hats == parallel[key].alpha_hats
+
+    def test_whole_seed_keys_the_stream(self, monkeypatch):
+        # a seed is hashed whole, not cut to 64 bits
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        wide = dataclasses.replace(self.GRID, master_seed=42 + 2 ** 64)
+        assert mc.run_grid(self.GRID) != mc.run_grid(wide)
+
+    def test_cells_follow_the_documented_recipe(self, monkeypatch):
+        # cell_index counts cells() (alpha, then rho, then n), worker_index
+        # runs over 0..K-1, and each worker counts its own N draws
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        grid = mc.ExperimentGrid("bvn", (0.05, 0.01), (0.0, 0.5), (10, 20),
+                                 N=500, K=2, master_seed=9)
+        model = mo.get_model(grid.model)
+        results = mc.run_grid(grid)
+        for ci, (alpha, rho, n) in enumerate(grid.cells()):
+            z = normal_quantile(1.0 - alpha)
+            for kind in grid.transforms:
+                rule = pe.rejection_rule(mo.transform_for(model, kind, z),
+                                         rho, model.sigma(rho), n, alpha)
+                hats = []
+                for k in range(grid.K):
+                    seq = np.random.SeedSequence(grid.master_seed,
+                                                 spawn_key=(ci, k))
+                    rng = np.random.Generator(np.random.Philox(seq))
+                    r = model.sample_r(rho, grid.N, n, rng)
+                    hats.append(np.count_nonzero(rule(r)) / grid.N)
+                assert results[(kind, alpha, rho, n)].alpha_hats == tuple(hats)
 
     def test_result_keys(self, monkeypatch):
         monkeypatch.setenv(mc.THREADS_ENV, "1")

@@ -93,6 +93,11 @@ class TestSigmaRho:
                 assert pe.sigma_rho(m, rho) == pytest.approx(
                     pe.sigma_rho(m, -rho), abs=1e-10)
 
+    def test_nan_rho_is_degenerate(self):
+        for m in (mo.BVN.moments, mo.SQUAREV.moments):
+            with pytest.raises(pe.DegenerateModelError):
+                pe.sigma_rho(m, math.nan)
+
 
 class TestSkewLambda:
     def test_bvn_vanishes(self):
@@ -229,6 +234,11 @@ class TestTau:
     def test_rejects_out_of_range_r(self):
         with pytest.raises(ValueError):
             pe.tau(pe.identity_transform(), 1.5, 0.0, 1.0, 10)
+        # n < 1 too, by tau and by its inverse
+        with pytest.raises(ValueError, match="n must be"):
+            pe.tau(pe.identity_transform(), 0.5, 0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="n must be"):
+            pe.rejection_threshold(pe.identity_transform(), 0.0, 1.0, 0, 0.05)
 
     def test_rejects_non_positive_scale(self):
         # psi'(rho) sigma = 0: sigma = 0, or psi'(rho) underflows (the

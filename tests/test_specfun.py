@@ -11,6 +11,7 @@ from corrtrans.specfun import (
     gamma_ratio_endpoint,
     gauss_2f1_half,
     integrate_adaptive,
+    log_gamma,
     normal_cdf,
     normal_pdf,
     normal_quantile,
@@ -133,6 +134,9 @@ class TestGauss2F1Half:
             gauss_2f1_half(0.5, 1.0)
         with pytest.raises(ValueError):
             gauss_2f1_half(-1.0, 0.5)
+        for p, x in ((math.nan, 0.5), (0.5, math.nan)):
+            with pytest.raises(ValueError):
+                gauss_2f1_half(p, x)
 
 
 class TestGammaRatioEndpoint:
@@ -166,8 +170,15 @@ class TestGammaRatioEndpoint:
                                                abs=1e-6)
 
     def test_rejects_pole(self):
+        for p in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                gamma_ratio_endpoint(p)
+
+
+def test_log_gamma_rejects_bad_arguments():
+    for x in (0.0, -2.5, math.nan):
         with pytest.raises(ValueError):
-            gamma_ratio_endpoint(-1.0)
+            log_gamma(x)
 
 
 class TestIntegrateAdaptive:
