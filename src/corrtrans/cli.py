@@ -84,21 +84,24 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="evaluate the optimal transform")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=str.lower,
+                   choices=mo.MODEL_NAMES)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--alpha", type=float)
     group.add_argument("--z", type=float)
     p.add_argument("--rho", type=float, required=True)
 
     p = sub.add_parser("delta", help="leading error term for a transform")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=str.lower,
+                   choices=mo.MODEL_NAMES)
     p.add_argument("--transform", required=True, choices=mo.TRANSFORM_KINDS)
     p.add_argument("--rho", type=float, required=True)
     p.add_argument("--z", type=float, required=True)
     p.add_argument("--z-ref", type=float, default=None)
 
     p = sub.add_parser("ranges", help="dominance range of significance levels")
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, type=str.lower,
+                   choices=mo.MODEL_NAMES)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--vs", required=True, choices=["identity", "fisher"])
 

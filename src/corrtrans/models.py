@@ -47,6 +47,7 @@ __all__ = [
     "BVN",
     "SQUAREV",
     "get_model",
+    "MODEL_NAMES",
     "bvn_moments",
     "squarev_moments",
     "TRANSFORM_KINDS",
@@ -178,6 +179,7 @@ SQUAREV = DependenceModel(
 )
 
 _MODELS = {"bvn": BVN, "squarev": SQUAREV}
+MODEL_NAMES = tuple(_MODELS)
 
 
 def get_model(name: str) -> DependenceModel:

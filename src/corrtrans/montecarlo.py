@@ -1,11 +1,14 @@
 """Seeded parallel Monte Carlo grid runs for rejection-rate calibration.
 
-Each grid cell (alpha, rho, n) is simulated by K workers; worker k of cell c
-draws from Philox keyed by numpy's SeedSequence(master_seed, spawn_key=(c,
-k)), which hashes the whole seed, so results are bit-identical regardless of
-scheduling or thread count.  All transforms requested for a cell are
-evaluated on the same samples, as one would do on a shared simulation
-budget.  A worker draws its N values of R in one call to the model's
+The draws of R depend only on (rho, n), so a task is one (rho, n, worker):
+worker k of draw index d (the position of (rho, n) in product(rhos, ns))
+draws from Philox keyed by numpy's SeedSequence(master_seed, spawn_key=(d,
+k)), which hashes the whole seed, so results are bit-identical regardless
+of scheduling or thread count.  Every (alpha, transform) rule of that
+(rho, n) is counted on the same draws, as one would do on a shared
+simulation budget; the alpha cells of one (rho, n) are therefore
+correlated with each other, which leaves each cell's eps_mean and eps_se
+as they are.  A worker draws its N values of R in one call to the model's
 `sample_r`, which costs O(1) per sample whatever n is, so a task holds O(N)
 memory; tasks run on threads of one process (numpy draws without the GIL),
 so a run holds about width x that at a time.  Draws are counted by
@@ -19,6 +22,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -43,7 +47,8 @@ THREADS_ENV = "CORRTRANS_THREADS"
 
 def substream(master_seed: int, cell_index: int, worker_index: int
               ) -> np.random.Generator:
-    """Counter-based generator for one (cell, worker); master_seed >= 0."""
+    """Counter-based generator for one (cell_index, worker_index) key, where
+    `run_grid`'s cell_index counts product(rhos, ns); master_seed >= 0."""
     seq = np.random.SeedSequence(master_seed,
                                  spawn_key=(cell_index, worker_index))
     return np.random.Generator(np.random.Philox(seq))
@@ -112,8 +117,17 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
         raise ValueError(f"n and N must be integers, n >= 2 and N >= 1, "
                          f"got n={n!r}, N={N!r}")
     rejects = rejection_rule(transform, rho, model.sigma(rho), n, alpha)
+    return _count_rejections(model, [rejects], rho, n, N, rng)[0] / N
+
+
+def _count_rejections(model: _models.DependenceModel,
+                      rules: list[Callable[[np.ndarray], np.ndarray]],
+                      rho: float, n: int, N: int,
+                      rng: np.random.Generator) -> list[int]:
+    """How many of N draws of R, from one `sample_r` call, each rule
+    rejects."""
     r = model.sample_r(rho, N, n, rng)
-    return int(np.count_nonzero(rejects(r))) / N
+    return [int(np.count_nonzero(rejects(r))) for rejects in rules]
 
 
 def aggregate(alpha_hats: tuple[float, ...], alpha: float) -> CellResult:
@@ -164,32 +178,36 @@ def worker_pool_width(tasks: int | None = None) -> int:
 
 def run_grid(grid: ExperimentGrid
              ) -> dict[tuple[str, float, float, int], CellResult]:
-    """Run every (cell, worker) substream; returns results keyed by
+    """Run every (rho, n, worker) substream and count every (alpha,
+    transform) rule of that (rho, n) on its draws; returns results keyed by
     (transform, alpha, rho, n).  Output is independent of scheduling.  Each
     cell's rejection rules are built once, before any sampling starts."""
     model = _models.get_model(grid.model)
-    cells = grid.cells()
-    tasks = []
-    for ci, (alpha, rho, n) in enumerate(cells):
-        z_alpha = normal_quantile(1.0 - alpha)
+    draws = list(product(grid.rhos, grid.ns))
+    levels = list(product(grid.alphas, grid.transforms))
+    transforms = [_models.transform_for(model, kind,
+                                        normal_quantile(1.0 - alpha))
+                  for alpha, kind in levels]
+    rules = []
+    for rho, n in draws:
         sigma = model.sigma(rho)
-        rules = [rejection_rule(_models.transform_for(model, kind, z_alpha),
-                                rho, sigma, n, alpha)
-                 for kind in grid.transforms]
-        tasks.extend((ci, k, rho, n, rules) for k in range(grid.K))
+        rules.append([rejection_rule(t, rho, sigma, n, alpha)
+                      for (alpha, _), t in zip(levels, transforms)])
+    tasks = list(product(range(len(draws)), range(grid.K)))
 
-    def task_counts(task: tuple) -> list[int]:
-        ci, k, rho, n, rules = task
-        r = model.sample_r(rho, grid.N, n, substream(grid.master_seed, ci, k))
-        return [int(np.count_nonzero(rejects(r))) for rejects in rules]
+    def task_counts(task: tuple[int, int]) -> list[int]:
+        d, k = task
+        rho, n = draws[d]
+        return _count_rejections(model, rules[d], rho, n, grid.N,
+                                 substream(grid.master_seed, d, k))
 
     # map yields in task order and, on a failed task, cancels those not begun
     with ThreadPoolExecutor(max_workers=worker_pool_width(len(tasks))) as pool:
         counts = list(pool.map(task_counts, tasks))
     results: dict[tuple[str, float, float, int], CellResult] = {}
-    for ci, (alpha, rho, n) in enumerate(cells):
-        for ti, kind in enumerate(grid.transforms):
-            hats = tuple(counts[ci * grid.K + k][ti] / grid.N
+    for d, (rho, n) in enumerate(draws):
+        for ri, (alpha, kind) in enumerate(levels):
+            hats = tuple(counts[d * grid.K + k][ri] / grid.N
                          for k in range(grid.K))
             results[(kind, alpha, rho, n)] = aggregate(hats, alpha)
     return results

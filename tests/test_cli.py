@@ -156,7 +156,19 @@ class TestExitCodes:
 
     def test_unknown_model(self, capsys):
         assert run(capsys, "transform", "--model", "trivariate",
-                   "--alpha", "0.05", "--rho", "0.5")[0] == 2
+                   "--alpha", "0.05", "--rho", "0.5")[0] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("transform", "--alpha", "0.05", "--rho", "0.5"),
+        ("delta", "--transform", "fisher", "--rho", "0.5", "--z", "1.0"),
+        ("ranges", "--alpha", "0.05", "--vs", "identity"),
+    ])
+    def test_model_is_a_case_blind_choice(self, capsys, argv):
+        command, *rest = argv
+        code, _, err = run(capsys, command, "--model", "gauss", *rest)
+        assert code == 1
+        assert "invalid choice: 'gauss'" in err
+        assert run(capsys, command, "--model", "SquareV", *rest)[0] == 0
 
     def test_negative_digits_is_usage_error(self, capsys):
         code, out, err = run(capsys, "--digits", "-1", "ranges", "--model",

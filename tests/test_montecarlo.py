@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import threading
@@ -256,10 +257,11 @@ class TestRunGrid:
     )
 
     def test_deterministic_across_thread_counts(self, monkeypatch):
+        grid = dataclasses.replace(self.GRID, alphas=(0.05, 0.01))
         monkeypatch.setenv(mc.THREADS_ENV, "1")
-        serial = mc.run_grid(self.GRID)
+        serial = mc.run_grid(grid)
         monkeypatch.setenv(mc.THREADS_ENV, "3")
-        parallel = mc.run_grid(self.GRID)
+        parallel = mc.run_grid(grid)
         assert serial.keys() == parallel.keys()
         for key in serial:
             assert serial[key].alpha_hats == parallel[key].alpha_hats
@@ -271,26 +273,45 @@ class TestRunGrid:
         assert mc.run_grid(self.GRID) != mc.run_grid(wide)
 
     def test_cells_follow_the_documented_recipe(self, monkeypatch):
-        # cell_index counts cells() (alpha, then rho, then n), worker_index
-        # runs over 0..K-1, and each worker counts its own N draws
+        # the draw index counts product(rhos, ns) (rho, then n), worker_index
+        # runs over 0..K-1, and every alpha's rules count the same N draws
         monkeypatch.setenv(mc.THREADS_ENV, "1")
         grid = mc.ExperimentGrid("bvn", (0.05, 0.01), (0.0, 0.5), (10, 20),
                                  N=500, K=2, master_seed=9)
         model = mo.get_model(grid.model)
         results = mc.run_grid(grid)
+        for d, (rho, n) in enumerate(itertools.product(grid.rhos, grid.ns)):
+            draws = []
+            for k in range(grid.K):
+                seq = np.random.SeedSequence(grid.master_seed,
+                                             spawn_key=(d, k))
+                rng = np.random.Generator(np.random.Philox(seq))
+                draws.append(model.sample_r(rho, grid.N, n, rng))
+            for alpha, kind in itertools.product(grid.alphas, grid.transforms):
+                z = normal_quantile(1.0 - alpha)
+                rule = pe.rejection_rule(mo.transform_for(model, kind, z),
+                                         rho, model.sigma(rho), n, alpha)
+                hats = tuple(np.count_nonzero(rule(r)) / grid.N
+                             for r in draws)
+                assert results[(kind, alpha, rho, n)].alpha_hats == hats
+
+    @pytest.mark.parametrize("model", ["bvn", "squarev"])
+    def test_one_alpha_keeps_the_per_cell_stream(self, monkeypatch, model):
+        # with one alpha the draw index is the cell's position in cells(),
+        # so such grids draw what one run_cell per (cell, worker) draws
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        grid = mc.ExperimentGrid(model, (0.05,), (0.0, 0.5), (10, 20),
+                                 N=500, K=2, master_seed=9)
+        m = mo.get_model(model)
+        results = mc.run_grid(grid)
         for ci, (alpha, rho, n) in enumerate(grid.cells()):
             z = normal_quantile(1.0 - alpha)
             for kind in grid.transforms:
-                rule = pe.rejection_rule(mo.transform_for(model, kind, z),
-                                         rho, model.sigma(rho), n, alpha)
-                hats = []
-                for k in range(grid.K):
-                    seq = np.random.SeedSequence(grid.master_seed,
-                                                 spawn_key=(ci, k))
-                    rng = np.random.Generator(np.random.Philox(seq))
-                    r = model.sample_r(rho, grid.N, n, rng)
-                    hats.append(np.count_nonzero(rule(r)) / grid.N)
-                assert results[(kind, alpha, rho, n)].alpha_hats == tuple(hats)
+                t = mo.transform_for(m, kind, z)
+                hats = tuple(mc.run_cell(m, t, alpha, rho, n, grid.N,
+                                         mc.substream(grid.master_seed, ci, k))
+                             for k in range(grid.K))
+                assert results[(kind, alpha, rho, n)].alpha_hats == hats
 
     def test_result_keys(self, monkeypatch):
         monkeypatch.setenv(mc.THREADS_ENV, "1")
@@ -368,6 +389,23 @@ class TestRunGridThreads:
         mc.run_grid(self.GRID)
         assert len(idents) == len(self.GRID.cells()) * self.GRID.K
         assert threading.main_thread().ident not in idents
+
+    def test_draws_once_per_rho_n_and_worker(self, monkeypatch):
+        # every (alpha, transform) rule counts one draw of R per worker
+        grid = dataclasses.replace(self.GRID, alphas=(0.05, 0.01),
+                                   ns=(10, 20))
+        calls = []
+        lock = threading.Lock()
+
+        def counted(*args):
+            with lock:
+                calls.append(args[0])
+            return mo.SQUAREV.sample_r(*args)
+
+        self.use_sample_r(monkeypatch, counted)
+        results = mc.run_grid(grid)
+        assert len(calls) == len(grid.rhos) * len(grid.ns) * grid.K
+        assert len(results) == len(grid.cells()) * len(grid.transforms)
 
     def test_failed_task_stops_the_queue(self, monkeypatch):
         grid = dataclasses.replace(self.GRID, rhos=(0.0,), K=200)
