@@ -10,7 +10,7 @@ term for arbitrary smooth transforms, and checks the asymptotics by exact
 enumeration and seeded Monte Carlo simulation.
 """
 
-from .edgeworth import EdgeworthModel, coeff_a1, coeff_a3, delta, edgeworth_tail
+from .edgeworth import EdgeworthModel, coeff_a1, coeff_a3, delta
 from .models import (
     BVN,
     SQUAREV,
@@ -40,7 +40,6 @@ from .pearson import (
     h_z,
     identity_transform,
     optimal_transform_numeric,
-    pearson_r,
     sigma_rho,
     skew_lambda,
     tau,

@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import normal_cdf, normal_pdf
+# unused, but bench/spans.py traces edgeworth.normal_cdf
+from .specfun import normal_cdf, normal_pdf  # noqa: F401
 
-__all__ = ["EdgeworthModel", "coeff_a1", "coeff_a3", "delta", "edgeworth_tail"]
+__all__ = ["EdgeworthModel", "coeff_a1", "coeff_a3", "delta"]
 
 
 @dataclass(frozen=True)
@@ -64,11 +65,3 @@ def delta(m: EdgeworthModel, z: float) -> float:
     a1 = coeff_a1(m)
     a3 = coeff_a3(m)
     return -((m.skew / 6.0 + a3) * (z * z - 1.0) + a1) * normal_pdf(z)
-
-
-def edgeworth_tail(m: EdgeworthModel, z: float, n: int) -> float:
-    """Second-order approximation to P(T_n > z), clamped to [0, 1]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    tail = 1.0 - normal_cdf(z) - delta(m, z) / np.sqrt(n)
-    return float(min(1.0, max(0.0, tail)))

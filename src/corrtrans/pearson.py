@@ -2,7 +2,9 @@
 numeric optimal transforms, and the standardized tau statistic.
 
 A dependence model enters only through its joint moments mu_ij(rho) of the
-standardized pair (Y, Z), for orders i + j <= 6.
+standardized pair (Y, Z), for orders i + j <= 6.  Each call reads the
+model's moments once, into one table of the 16 orders the expansion uses,
+and the formulas for sigma, the skewness and Delta all read that table.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -26,7 +28,6 @@ __all__ = [
     "identity_transform",
     "fisher_transform",
     "r_from_sums",
-    "pearson_r",
     "sigma_rho",
     "skew_lambda",
     "delta_r_tilde",
@@ -45,6 +46,11 @@ NUMERIC_ODE_TOL = Tolerance(1e-11, 1e-11, 100_000)
 
 # joint moments mu_ij(rho) = E Y^i Z^j of a standardized pair, as (rho, i, j)
 Moments = Callable[[float, int, int], float]
+
+# the orders sigma, the skewness, Delta and Sigma read: a call asks the model
+# for each once, into one table (_moment_table)
+_ORDERS = ((0, 3), (3, 0), (1, 2), (2, 1), (0, 4), (4, 0), (1, 3), (3, 1),
+           (2, 2), (0, 6), (6, 0), (1, 5), (5, 1), (2, 4), (4, 2), (3, 3))
 
 
 class DegenerateModelError(ValueError):
@@ -98,49 +104,80 @@ def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
     return np.clip(r, -1.0, 1.0, out=r)
 
 
-def pearson_r(samples: Sequence[tuple[float, float]]) -> float:
-    """Sample correlation of the given pairs; 0 on a zero denominator.
-
-    The columns are centred before the products are summed, so a mean much
-    larger than the spread does not cancel the variances away.
-    """
-    if len(samples) < 2:
-        raise ValueError("pearson_r requires at least 2 sample pairs")
-    arr = np.asarray(samples, dtype=float)
-    arr = arr - arr.mean(axis=0)
-    y, z = arr[:, 0], arr[:, 1]
-    return float(r_from_sums(len(arr), 0.0, 0.0, y @ y, z @ z, y @ z))
+def _moment_table(m: Moments, rho: float) -> dict[tuple[int, int], float]:
+    """mu_ij(rho) at the orders in _ORDERS; any other order is a KeyError."""
+    return {(i, j): m(rho, i, j) for i, j in _ORDERS}
 
 
-def sigma_rho(m: Moments, rho: float) -> float:
-    """Asymptotic standard deviation of sqrt(n)(R - rho)."""
+def _sigma(mu: dict, rho: float) -> float:
     radicand = (
-        rho * rho * (m(rho, 0, 4) + 2.0 * m(rho, 2, 2) + m(rho, 4, 0))
-        - 4.0 * rho * (m(rho, 1, 3) + m(rho, 3, 1))
-        + 4.0 * m(rho, 2, 2)
+        rho * rho * (mu[0, 4] + 2.0 * mu[2, 2] + mu[4, 0])
+        - 4.0 * rho * (mu[1, 3] + mu[3, 1])
+        + 4.0 * mu[2, 2]
     )
     if not radicand > 0.0:
         raise DegenerateModelError(f"model degenerate at rho={rho}")
     return 0.5 * math.sqrt(radicand)
 
 
-def skew_lambda(m: Moments, rho: float) -> float:
-    """Third moment of Lambda = (YZ - (rho/2)(Y^2 + Z^2)) / sigma.
-
-    Computed from the cubic expansion of the defining expression; the
-    numerator is a polynomial in rho with joint-moment coefficients.
-    """
-    s = sigma_rho(m, rho)
+def _skew(mu: dict, rho: float, s: float) -> float:
     w3 = (
-        m(rho, 3, 3)
-        - 1.5 * rho * (m(rho, 2, 4) + m(rho, 4, 2))
-        + 0.75 * rho * rho * (m(rho, 1, 5) + 2.0 * m(rho, 3, 3) + m(rho, 5, 1))
+        mu[3, 3]
+        - 1.5 * rho * (mu[2, 4] + mu[4, 2])
+        + 0.75 * rho * rho * (mu[1, 5] + 2.0 * mu[3, 3] + mu[5, 1])
         - 0.125 * rho ** 3 * (
-            m(rho, 0, 6) + 3.0 * m(rho, 2, 4) + 3.0 * m(rho, 4, 2)
-            + m(rho, 6, 0)
+            mu[0, 6] + 3.0 * mu[2, 4] + 3.0 * mu[4, 2] + mu[6, 0]
         )
     )
     return w3 / s ** 3
+
+
+def _delta_r_tilde(mu: dict, rho: float, z: float, s2: float) -> float:
+    t = z * z
+    term0 = 16.0 * (
+        (t - 1.0) * (6.0 * mu[1, 2] * mu[2, 1] - mu[3, 3])
+        + 3.0 * s2 * t * (mu[1, 3] + mu[3, 1])
+    )
+    term1 = -12.0 * rho * (
+        (t - 1.0) * (
+            4.0 * mu[0, 3] * mu[2, 1] + 4.0 * mu[1, 2] * mu[3, 0]
+            + 8.0 * mu[1, 2] ** 2 - 2.0 * mu[1, 3] * mu[3, 1]
+            + mu[1, 3] ** 2 + 8.0 * mu[2, 1] ** 2 - 2.0 * mu[2, 4]
+            + mu[3, 1] ** 2 - 2.0 * mu[4, 2]
+        )
+        + s2 * (
+            (2.0 * t + 1.0) * (mu[0, 4] + mu[4, 0])
+            + (4.0 * t - 2.0) * mu[2, 2]
+        )
+    )
+    term2 = 12.0 * rho * rho * (t - 1.0) * (
+        2.0 * mu[0, 3] * (3.0 * mu[1, 2] + mu[3, 0])
+        + mu[0, 4] * (mu[1, 3] - mu[3, 1])
+        + 10.0 * mu[1, 2] * mu[2, 1]
+        - mu[1, 3] * mu[4, 0] - mu[1, 5]
+        + 6.0 * mu[2, 1] * mu[3, 0]
+        + mu[3, 1] * mu[4, 0] - 2.0 * mu[3, 3] - mu[5, 1]
+    )
+    term3 = -(rho ** 3) * (t - 1.0) * (
+        24.0 * mu[0, 3] * mu[2, 1] + 12.0 * mu[0, 3] ** 2
+        - 6.0 * mu[0, 4] * mu[4, 0] + 3.0 * mu[0, 4] ** 2 - 2.0 * mu[0, 6]
+        + 24.0 * mu[1, 2] * mu[3, 0] + 12.0 * mu[1, 2] ** 2
+        + 12.0 * mu[2, 1] ** 2 - 6.0 * mu[2, 4] + 12.0 * mu[3, 0] ** 2
+        + 3.0 * mu[4, 0] ** 2 - 6.0 * mu[4, 2] - 2.0 * mu[6, 0]
+    )
+    return term0 + term1 + term2 + term3
+
+
+def sigma_rho(m: Moments, rho: float) -> float:
+    """Asymptotic standard deviation of sqrt(n)(R - rho)."""
+    return _sigma(_moment_table(m, rho), rho)
+
+
+def skew_lambda(m: Moments, rho: float) -> float:
+    """Third moment of Lambda = (YZ - (rho/2)(Y^2 + Z^2)) / sigma, from the
+    cubic expansion: a polynomial in rho with joint-moment coefficients."""
+    mu = _moment_table(m, rho)
+    return _skew(mu, rho, _sigma(mu, rho))
 
 
 def delta_r_tilde(m: Moments, rho: float, z: float) -> float:
@@ -148,51 +185,17 @@ def delta_r_tilde(m: Moments, rho: float, z: float) -> float:
 
     The full term is Delta_R(z) = phi(z) * delta_r_tilde / (96 sigma^3).
     """
-    def mu(i: int, j: int) -> float:
-        return m(rho, i, j)
-
-    s2 = sigma_rho(m, rho) ** 2
-    t = z * z
-    term0 = 16.0 * (
-        (t - 1.0) * (6.0 * mu(1, 2) * mu(2, 1) - mu(3, 3))
-        + 3.0 * s2 * t * (mu(1, 3) + mu(3, 1))
-    )
-    term1 = -12.0 * rho * (
-        (t - 1.0) * (
-            4.0 * mu(0, 3) * mu(2, 1) + 4.0 * mu(1, 2) * mu(3, 0)
-            + 8.0 * mu(1, 2) ** 2 - 2.0 * mu(1, 3) * mu(3, 1)
-            + mu(1, 3) ** 2 + 8.0 * mu(2, 1) ** 2 - 2.0 * mu(2, 4)
-            + mu(3, 1) ** 2 - 2.0 * mu(4, 2)
-        )
-        + s2 * (
-            (2.0 * t + 1.0) * (mu(0, 4) + mu(4, 0))
-            + (4.0 * t - 2.0) * mu(2, 2)
-        )
-    )
-    term2 = 12.0 * rho * rho * (t - 1.0) * (
-        2.0 * mu(0, 3) * (3.0 * mu(1, 2) + mu(3, 0))
-        + mu(0, 4) * (mu(1, 3) - mu(3, 1))
-        + 10.0 * mu(1, 2) * mu(2, 1)
-        - mu(1, 3) * mu(4, 0) - mu(1, 5)
-        + 6.0 * mu(2, 1) * mu(3, 0)
-        + mu(3, 1) * mu(4, 0) - 2.0 * mu(3, 3) - mu(5, 1)
-    )
-    term3 = -(rho ** 3) * (t - 1.0) * (
-        24.0 * mu(0, 3) * mu(2, 1) + 12.0 * mu(0, 3) ** 2
-        - 6.0 * mu(0, 4) * mu(4, 0) + 3.0 * mu(0, 4) ** 2 - 2.0 * mu(0, 6)
-        + 24.0 * mu(1, 2) * mu(3, 0) + 12.0 * mu(1, 2) ** 2
-        + 12.0 * mu(2, 1) ** 2 - 6.0 * mu(2, 4) + 12.0 * mu(3, 0) ** 2
-        + 3.0 * mu(4, 0) ** 2 - 6.0 * mu(4, 2) - 2.0 * mu(6, 0)
-    )
-    return term0 + term1 + term2 + term3
+    mu = _moment_table(m, rho)
+    return _delta_r_tilde(mu, rho, z, _sigma(mu, rho) ** 2)
 
 
 def h_z(m: Moments, rho: float, z: float) -> float:
     """Right-hand side of the optimality ODE psi''/psi' = h_z(rho)."""
-    if z == 0.0:
-        raise ValueError("h_z requires z != 0")
-    s = sigma_rho(m, rho)
-    return delta_r_tilde(m, rho, z) / (48.0 * s ** 4 * z * z)
+    if z == 0.0 or not math.isfinite(z):
+        raise ValueError("h_z requires a finite z != 0")
+    mu = _moment_table(m, rho)
+    s = _sigma(mu, rho)
+    return _delta_r_tilde(mu, rho, z, s ** 2) / (48.0 * s ** 4 * z * z)
 
 
 def optimal_transform_numeric(m: Moments, z: float) -> Transform:
@@ -202,8 +205,8 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
     adaptive Runge-Kutta stepper; psi is odd, so only |rho| is integrated
     and the sign restored.  Evaluation beyond |rho| = 1 - 1e-6 is rejected.
     """
-    if z == 0.0:
-        raise ValueError("optimal transform requires z != 0")
+    if z == 0.0 or not math.isfinite(z):
+        raise ValueError("optimal transform requires a finite z != 0")
 
     def rhs(r: float, y: tuple[float, ...]) -> tuple[float, ...]:
         h = h_z(m, r, z)
@@ -234,8 +237,10 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
 
 def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
-    s = sigma_rho(m, rho)
-    delta_r = normal_pdf(z) * delta_r_tilde(m, rho, z) / (96.0 * s ** 3)
+    mu = _moment_table(m, rho)
+    s = _sigma(mu, rho)
+    delta_r = (normal_pdf(z) * _delta_r_tilde(mu, rho, z, s ** 2)
+               / (96.0 * s ** 3))
     correction = 0.5 * t.dlog_dpsi(rho) * s * z * z * normal_pdf(z)
     return delta_r - correction
 
@@ -341,23 +346,22 @@ def _hessian(rho: float) -> np.ndarray:
 
 def assemble_statistic_model(m: Moments, rho: float) -> edgeworth.EdgeworthModel:
     """EdgeworthModel for R - rho = f(mean of V) with V the 5-dim score vector."""
-    def mu(i: int, j: int) -> float:
-        return m(rho, i, j)
-
+    mu = _moment_table(m, rho)
     Sigma = np.array([
-        [1.0, rho, mu(3, 0), mu(1, 2), mu(2, 1)],
-        [rho, 1.0, mu(2, 1), mu(0, 3), mu(1, 2)],
-        [mu(3, 0), mu(2, 1), mu(4, 0) - 1.0, mu(2, 2) - 1.0, mu(3, 1) - rho],
-        [mu(1, 2), mu(0, 3), mu(2, 2) - 1.0, mu(0, 4) - 1.0, mu(1, 3) - rho],
-        [mu(2, 1), mu(1, 2), mu(3, 1) - rho, mu(1, 3) - rho,
-         mu(2, 2) - rho * rho],
+        [1.0, rho, mu[3, 0], mu[1, 2], mu[2, 1]],
+        [rho, 1.0, mu[2, 1], mu[0, 3], mu[1, 2]],
+        [mu[3, 0], mu[2, 1], mu[4, 0] - 1.0, mu[2, 2] - 1.0, mu[3, 1] - rho],
+        [mu[1, 2], mu[0, 3], mu[2, 2] - 1.0, mu[0, 4] - 1.0, mu[1, 3] - rho],
+        [mu[2, 1], mu[1, 2], mu[3, 1] - rho, mu[1, 3] - rho,
+         mu[2, 2] - rho * rho],
     ])
+    s = _sigma(mu, rho)
     L = np.array([0.0, 0.0, -rho / 2.0, -rho / 2.0, 1.0])
     return edgeworth.EdgeworthModel(
         dim=5,
         L=L,
         H=_hessian(rho),
         Sigma=Sigma,
-        sigma=sigma_rho(m, rho),
-        skew=skew_lambda(m, rho),
+        sigma=s,
+        skew=_skew(mu, rho, s),
     )

@@ -227,8 +227,7 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-          11.0 / 84.0, 0.0)
+_DP_B5 = _DP_A[6] + (0.0,)  # the 5th-order weights are the last stage row
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
 
@@ -240,7 +239,8 @@ def integrate_ode(
     t1: float,
     tol: Tolerance = Tolerance(1e-12, 1e-12, 100_000),
 ) -> tuple[float, ...]:
-    """Integrate y' = rhs(t, y) from t0 to t1 with Dormand-Prince 5(4)."""
+    """Integrate y' = rhs(t, y) from t0 to t1 with Dormand-Prince 5(4);
+    a step with a non-finite state or error raises IntegrationError."""
     if t1 == t0:
         return tuple(y0)
     dim = len(y0)
@@ -267,6 +267,9 @@ def integrate_ode(
         for d in range(dim):
             scale = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y5[d]))
             err = max(err, abs(y5[d] - y4[d]) / scale)
+        # max() drops a NaN term, so a NaN state would pass as a small error
+        if not (math.isfinite(err) and all(map(math.isfinite, y5))):
+            raise IntegrationError(f"non-finite ODE step from t={t}")
         if err <= 1.0:
             t += h
             y = y5

@@ -1,9 +1,12 @@
-"""Per-pair samplers of the two models, kept as oracles for the sufficient-
-statistic R samplers (`DependenceModel.sample_r`) and for moment checks."""
+"""Per-pair samplers of the two models and Pearson's R of a list of pairs,
+kept as oracles for the sufficient-statistic R samplers
+(`DependenceModel.sample_r`) and for moment checks."""
 
 import math
 
 import numpy as np
+
+from corrtrans.pearson import r_from_sums
 
 # cell order: (1,1), (1,-1), (-1,1), (-1,-1)
 _SQUAREV_Y = np.array([1.0, 1.0, -1.0, -1.0])
@@ -35,6 +38,19 @@ def sample_squarev_via_bvn(rho: float, n: int, rng: np.random.Generator
     uv = sample_bvn(theta, n, rng)
     return np.where(uv >= 0.0, 1.0, -1.0)
 
+
+def pearson_r(samples) -> float:
+    """Sample correlation of the given pairs; 0 on a zero denominator.
+
+    The columns are centred before the products are summed, so a mean much
+    larger than the spread does not cancel the variances away.
+    """
+    if len(samples) < 2:
+        raise ValueError("pearson_r requires at least 2 sample pairs")
+    arr = np.asarray(samples, dtype=float)
+    arr = arr - arr.mean(axis=0)
+    y, z = arr[:, 0], arr[:, 1]
+    return float(r_from_sums(len(arr), 0.0, 0.0, y @ y, z @ z, y @ z))
 
 
 def r_from_sums_reference(n, sy, sz, syy, szz, syz):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,12 @@ import pytest
 from corrtrans import models as mo
 from corrtrans import pearson as pe
 from corrtrans.specfun import Tolerance, normal_pdf, normal_quantile
-from direct_samplers import r_from_sums_reference, sample_bvn, sample_squarev
+from direct_samplers import (
+    pearson_r,
+    r_from_sums_reference,
+    sample_bvn,
+    sample_squarev,
+)
 
 Z05 = normal_quantile(0.95)
 Z01 = normal_quantile(0.99)
@@ -15,23 +21,23 @@ RHO_GRID = np.linspace(-0.9, 0.9, 19)
 
 class TestPearsonR:
     def test_perfect_line(self):
-        assert pe.pearson_r([(1, 1), (2, 2), (3, 3)]) == pytest.approx(1.0)
+        assert pearson_r([(1, 1), (2, 2), (3, 3)]) == pytest.approx(1.0)
 
     def test_balanced_square(self):
-        assert pe.pearson_r([(1, 1), (-1, -1), (1, -1), (-1, 1)]) == 0.0
+        assert pearson_r([(1, 1), (-1, -1), (1, -1), (-1, 1)]) == 0.0
 
     def test_degenerate_convention(self):
-        assert pe.pearson_r([(1, 5), (1, 7), (1, 9)]) == 0.0
+        assert pearson_r([(1, 5), (1, 7), (1, 9)]) == 0.0
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
-            pe.pearson_r([(1, 2)])
+            pearson_r([(1, 2)])
 
     def test_large_offset_does_not_cancel(self):
         # one-pass raw sums give 0.567 at a 1e8 shift and 0.0 at 1e9
         for shift in (1e8, 1e9):
             pairs = [(shift, 1), (shift + 1, 2), (shift + 2, 2.5)]
-            assert pe.pearson_r(pairs) == pytest.approx(0.9819805060619657,
+            assert pearson_r(pairs) == pytest.approx(0.9819805060619657,
                                                         abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 100])
@@ -40,7 +46,7 @@ class TestPearsonR:
         for rho in (-0.7, 0.0, 0.5, 0.95):
             yz = sample_bvn(rho, n, rng) + np.array([1e8, -3e8])
             want = np.corrcoef(yz[:, 0], yz[:, 1])[0, 1]
-            assert pe.pearson_r(yz) == pytest.approx(want, abs=1e-12)
+            assert pearson_r(yz) == pytest.approx(want, abs=1e-12)
 
 
 class TestRFromSums:
@@ -148,6 +154,11 @@ class TestHz:
         with pytest.raises(ValueError):
             pe.h_z(mo.BVN.moments, 0.5, 0.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_z(self, z):
+        with pytest.raises(ValueError, match="finite z"):
+            pe.h_z(mo.BVN.moments, 0.2, z)
+
 
 class TestOptimalTransformNumeric:
     def test_initial_conditions(self):
@@ -190,6 +201,12 @@ class TestOptimalTransformNumeric:
         with pytest.raises(ValueError):
             pe.optimal_transform_numeric(mo.BVN.moments, 0.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_z(self, z):
+        # refused when built, not as a NaN psi on first use
+        with pytest.raises(ValueError, match="finite z"):
+            pe.optimal_transform_numeric(mo.SQUAREV.moments, z)
+
 
 class TestDeltaPsi:
     def test_identity_is_delta_r(self):
@@ -215,6 +232,40 @@ class TestDeltaPsi:
                 t = pe.optimal_transform_numeric(m, z)
                 for rho in (-0.9, -0.5, 0.1, 0.5, 0.9):
                     assert abs(pe.delta_psi(m, t, rho, z)) < 1e-10
+
+
+class CountingMoments:
+    """Moments that count how often each order (i, j) is asked for."""
+
+    def __init__(self, m):
+        self.m = m
+        self.asked = Counter()
+
+    def __call__(self, rho, i, j):
+        self.asked[i, j] += 1
+        return self.m(rho, i, j)
+
+
+MOMENT_READERS = {
+    "sigma_rho": lambda m: pe.sigma_rho(m, 0.4),
+    "skew_lambda": lambda m: pe.skew_lambda(m, 0.4),
+    "delta_r_tilde": lambda m: pe.delta_r_tilde(m, 0.4, Z05),
+    "h_z": lambda m: pe.h_z(m, 0.4, Z05),
+    "delta_psi": lambda m: pe.delta_psi(m, pe.fisher_transform(), 0.4, Z05),
+    "assemble_statistic_model":
+        lambda m: pe.assemble_statistic_model(m, 0.4),
+}
+
+
+class TestMomentReads:
+    @pytest.mark.parametrize("reader", MOMENT_READERS)
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_each_order_is_read_once(self, reader, model):
+        m = CountingMoments(model.moments)
+        MOMENT_READERS[reader](m)
+        assert m.asked and max(m.asked.values()) == 1, m.asked
+        assert all(i >= 0 and j >= 0 and i + j <= 6 for i, j in m.asked)
 
 
 class TestTau:
@@ -289,6 +340,7 @@ class TestAssembleStatisticModel:
         for rho in (0.1, 0.5, 0.9):
             m = pe.assemble_statistic_model(mo.SQUAREV.moments, rho)
             assert m.sigma == pe.sigma_rho(mo.SQUAREV.moments, rho)
+            assert m.skew == pe.skew_lambda(mo.SQUAREV.moments, rho)
 
     def test_rho_zero_delta_vanishes(self):
         from corrtrans import edgeworth as ed

@@ -11,6 +11,7 @@ from corrtrans.specfun import (
     gamma_ratio_endpoint,
     gauss_2f1_half,
     integrate_adaptive,
+    integrate_ode,
     log_gamma,
     normal_cdf,
     normal_pdf,
@@ -202,3 +203,19 @@ class TestIntegrateAdaptive:
         with pytest.raises(IntegrationError):
             integrate_adaptive(lambda r: math.sin(50 * r) / (1e-9 + r * r),
                                0, 1, starved)
+
+
+class TestIntegrateOde:
+    def test_exponential(self):
+        (y,) = integrate_ode(lambda t, y: (y[0],), 0.0, (1.0,), 1.0)
+        assert y == pytest.approx(math.e, rel=1e-11)
+
+    @pytest.mark.parametrize("rhs", [
+        lambda t, y: (math.nan,),
+        lambda t, y: (math.nan if t > 0.5 else 1.0,),
+        lambda t, y: (math.inf,),
+    ], ids=["nan", "nan_midway", "inf"])
+    def test_non_finite_step_raises(self, rhs):
+        # max(err, nan) keeps err, so a NaN state used to pass as converged
+        with pytest.raises(IntegrationError, match="non-finite"):
+            integrate_ode(rhs, 0.0, (1.0,), 1.0)
