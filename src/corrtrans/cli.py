@@ -1,7 +1,9 @@
 """Command-line front-end.
 
 Subcommands: transform, delta, ranges, exact, simulate, table.
-Exit codes: 0 success, 1 usage error, 2 numeric failure.
+Exit codes, decided by the error's type in `main` alone: 0 success, 1 on a
+ValueError (an argument outside its domain), 2 on an ArithmeticError (a
+numeric failure, such as DegenerateModelError or IntegrationError).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from . import models as mo
 from . import montecarlo as mc
 from . import pearson as pe
-from .specfun import IntegrationError, normal_quantile
+from .specfun import normal_quantile
 
 __all__ = ["main", "read_config"]
 
@@ -36,8 +38,8 @@ _LISTS = ("alphas", "rhos", "ns", "transforms")
 
 
 def read_config(path: str | Path) -> tuple[mc.ExperimentGrid, str, str]:
-    """(grid, output_path, format) of a simulate config; raises ValueError
-    (TypeError for some values of the wrong type) on a malformed one."""
+    """(grid, output_path, format) of a simulate config; a malformed one
+    raises ValueError (TypeError for some wrong types), which exits 1."""
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
@@ -61,13 +63,9 @@ def read_config(path: str | Path) -> tuple[mc.ExperimentGrid, str, str]:
     return grid, out, fmt
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def non_negative_int(text: str) -> int:
@@ -138,7 +136,7 @@ def _cmd_delta(args, digits: int) -> None:
     model = mo.get_model(args.model)
     z_ref = args.z_ref
     if args.transform == "optimal" and z_ref is None:
-        raise _UsageError("delta --transform optimal requires --z-ref")
+        raise ValueError("delta --transform optimal requires --z-ref")
     closed = mo.delta_closed(model, args.transform, args.z, args.rho, z_ref)
     t = mo.transform_for(model, args.transform, z_ref)
     generic = pe.delta_psi(model.moments, t, args.rho, args.z)
@@ -164,22 +162,22 @@ def _cmd_exact(args, digits: int) -> None:
 def _cmd_simulate(args, digits: int) -> None:
     path = Path(args.config)
     if not path.is_file():
-        raise _UsageError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     try:
         grid, output_path, fmt = read_config(path)
     except (TypeError, ValueError) as exc:
-        raise _UsageError(f"bad config: {exc}")
+        raise ValueError(f"bad config: {exc}")
     # the rows go to a temporary file in the output's directory, renamed
     # onto the output once complete, so no run leaves a half-written file;
     # creating it first finds a missing or unwritable directory before sampling
     out = Path(output_path)
     if out.is_dir():
-        raise _UsageError(f"output_path is a directory: {out}")
+        raise ValueError(f"output_path is a directory: {out}")
     tmp = out.with_name(f".{out.name}.{os.getpid()}.tmp")
     try:
         tmp.touch()
     except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc.strerror}")
+        raise ValueError(f"cannot write {out}: {exc.strerror}")
     try:
         rows = []
         for (kind, alpha, rho, n), cell in sorted(mc.run_grid(grid).items()):
@@ -223,13 +221,13 @@ def _read_table(path: Path) -> list[tuple]:
 def _cmd_table(args, digits: int) -> None:
     path = Path(args.input)
     if not path.is_file():
-        raise _UsageError(f"input file not found: {path}")
+        raise ValueError(f"input file not found: {path}")
     try:
         rows = _read_table(path)
     except (ValueError, TypeError, csv.Error) as exc:
-        raise _UsageError(f"bad table: {exc}")
+        raise ValueError(f"bad table: {exc}")
     except KeyError as exc:
-        raise _UsageError(f"bad table: missing column {exc}")
+        raise ValueError(f"bad table: missing column {exc}")
     if args.plot_data:
         # (n, eps * sqrt(n)) series, one per (transform, alpha, rho)
         print("transform,alpha,rho,n,eps_sqrt_n")
@@ -263,17 +261,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
     try:
         _COMMANDS[args.command](args, args.digits)
-    except (_UsageError, mc.ConfigError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IntegrationError, pe.DegenerateModelError, ValueError,
-            ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -64,4 +64,6 @@ def delta(m: EdgeworthModel, z: float) -> float:
     """Leading error coefficient: -[(skew/6 + a3)(z^2 - 1) + a1] phi(z)."""
     a1 = coeff_a1(m)
     a3 = coeff_a3(m)
-    return -((m.skew / 6.0 + a3) * (z * z - 1.0) + a1) * normal_pdf(z)
+    phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
+    value = -((m.skew / 6.0 + a3) * (z * z - 1.0) + a1)
+    return value * phi if phi > 0.0 else 0.0

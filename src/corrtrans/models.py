@@ -209,8 +209,8 @@ def psi_closed(model: DependenceModel, z: float, rho: float) -> float:
     gamma-ratio value (BVN exponents stay above -1 for all z != 0).
     """
     p = optimal_exponent(model, z)
-    if abs(rho) > 1.0:
-        raise ValueError("psi_closed requires |rho| <= 1")
+    if not abs(rho) <= 1.0:
+        raise ValueError(f"psi_closed requires |rho| <= 1, got rho={rho}")
     if abs(rho) == 1.0:
         return math.copysign(gamma_ratio_endpoint(p), rho)
     return rho * gauss_2f1_half(p, rho * rho)
@@ -266,11 +266,13 @@ def delta_closed(model: DependenceModel, kind: str, z: float, rho: float,
         raise ValueError(f"delta_closed requires -1 < rho < 1, got {rho}")
     t_ref = None
     if kind == "optimal":
-        if z_ref is None:
-            raise ValueError("delta_closed(optimal) requires z_ref")
+        if z_ref is None or not z_ref * z_ref > 0.0:  # 0, NaN or underflow
+            raise ValueError("delta_closed(optimal) requires z_ref other "
+                             f"than 0 or NaN, got z_ref={z_ref}")
         t_ref = z_ref * z_ref
     shape = _delta_shape(model, kind, z * z, t_ref)
-    return model.odd_factor(rho) * shape * normal_pdf(z)
+    phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
+    return model.odd_factor(rho) * shape * phi if phi > 0.0 else 0.0
 
 
 def dominance_range(model: DependenceModel, alpha: float,

@@ -31,7 +31,6 @@ from .pearson import Transform, is_integer, rejection_rule
 from .specfun import normal_quantile
 
 __all__ = [
-    "ConfigError",
     "ExperimentGrid",
     "CellResult",
     "substream",
@@ -52,10 +51,6 @@ def substream(master_seed: int, cell_index: int, worker_index: int
     seq = np.random.SeedSequence(master_seed,
                                  spawn_key=(cell_index, worker_index))
     return np.random.Generator(np.random.Philox(seq))
-
-
-class ConfigError(ValueError):
-    """The run's environment is malformed; raised before any sampling."""
 
 
 @dataclass(frozen=True)
@@ -169,7 +164,7 @@ def worker_pool_width(tasks: int | None = None) -> int:
         try:
             width = min(width, max(1, int(env)))
         except ValueError:
-            raise ConfigError(
+            raise ValueError(
                 f"{THREADS_ENV} must be an integer, got {env!r}") from None
     if tasks is not None:
         width = min(width, max(1, tasks))

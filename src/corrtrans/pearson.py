@@ -53,8 +53,9 @@ _ORDERS = ((0, 3), (3, 0), (1, 2), (2, 1), (0, 4), (4, 0), (1, 3), (3, 1),
            (2, 2), (0, 6), (6, 0), (1, 5), (5, 1), (2, 4), (4, 2), (3, 3))
 
 
-class DegenerateModelError(ValueError):
-    """The model's asymptotic variance is not positive at this rho."""
+class DegenerateModelError(ArithmeticError):
+    """A numeric failure at this rho: the asymptotic variance or the tau
+    scale psi'(rho) sigma is not positive, or psi(rho) loses the step."""
 
 
 def is_integer(value) -> bool:
@@ -239,10 +240,10 @@ def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
     mu = _moment_table(m, rho)
     s = _sigma(mu, rho)
-    delta_r = (normal_pdf(z) * _delta_r_tilde(mu, rho, z, s ** 2)
-               / (96.0 * s ** 3))
-    correction = 0.5 * t.dlog_dpsi(rho) * s * z * z * normal_pdf(z)
-    return delta_r - correction
+    phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
+    delta_r = phi * _delta_r_tilde(mu, rho, z, s ** 2) / (96.0 * s ** 3)
+    correction = 0.5 * t.dlog_dpsi(rho) * s * z * z * phi
+    return delta_r - correction if phi > 0.0 else 0.0
 
 
 def _checked_dpsi(t: Transform, rho: float, sigma: float) -> float:

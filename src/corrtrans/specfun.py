@@ -46,7 +46,7 @@ class Tolerance:
             raise ValueError("max_iter must be >= 1")
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(ArithmeticError):
     """Adaptive integrator or ODE stepper failed to converge."""
 
 

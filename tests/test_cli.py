@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,12 @@ import pytest
 from corrtrans import cli
 from corrtrans import models as mo
 from corrtrans import montecarlo as mc
-from corrtrans.specfun import gamma_ratio_endpoint, normal_quantile
+from corrtrans import pearson as pe
+from corrtrans.specfun import (
+    IntegrationError,
+    gamma_ratio_endpoint,
+    normal_quantile,
+)
 
 
 def run(capsys, *argv):
@@ -95,21 +103,20 @@ class TestRangesCommand:
         assert code == 0
         assert out.strip() == "(0.00000, 0.17912)"
 
-    def test_bad_alpha_is_numeric_failure(self, capsys):
+    def test_bad_alpha_is_usage_error(self, capsys):
         code, _, err = run(capsys, "ranges", "--model", "bvn",
                            "--alpha", "0.9", "--vs", "identity")
-        assert code == 2
-        assert "numeric failure" in err
+        assert code == 1
+        assert err.startswith("error: alpha must lie in")
 
-    def test_identity_optimal_level_is_numeric_failure(self, capsys):
+    def test_identity_optimal_level_is_usage_error(self, capsys):
         # t_alpha = 1 = |B|: the identity is the SquareV optimal transform
         code, _, err = run(capsys, "ranges", "--model", "squarev",
                            "--alpha", "0.15865525393145707", "--vs",
                            "identity")
-        assert code == 2
+        assert code == 1
         assert err.splitlines() == [
-            "numeric failure: identity is itself optimal at "
-            "alpha=0.15865525393145707"]
+            "error: identity is itself optimal at alpha=0.15865525393145707"]
 
 
 class TestExactCommand:
@@ -120,12 +127,12 @@ class TestExactCommand:
         eps = float(out.splitlines()[1].split("=")[1])
         assert abs(eps - 0.125) < 5 * 0.00110
 
-    def test_rho_at_the_boundary_is_numeric_failure(self, capsys):
+    def test_rho_at_the_boundary_is_usage_error(self, capsys):
         code, _, err = run(capsys, "exact", "--rho", "1", "--n", "10",
                            "--alpha", "0.05", "--transform", "identity")
-        assert code == 2
+        assert code == 1
         assert len(err.splitlines()) == 1
-        assert err.startswith("numeric failure:") and "rho=1.0" in err
+        assert err.startswith("error:") and "rho=1.0" in err
 
     def test_underflowing_scale_is_numeric_failure(self, capsys):
         # at alpha = 0.49 the optimal exponent is 530 and psi'(0.99) = 0.0
@@ -192,9 +199,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         # psi'(1) = 0.0 ** p with p < 0
         ("transform", "--model", "bvn", "--alpha", "0.05", "--rho", "1"),
-        # SquareV's g(rho) divides by sqrt(1 - rho^2)
-        ("delta", "--model", "squarev", "--transform", "optimal",
-         "--rho", "1", "--z", "1", "--z-ref", "1.645"),
     ])
     def test_rho_one_is_numeric_failure(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -203,6 +207,17 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert err.startswith("numeric failure:")
 
+    @pytest.mark.parametrize("argv", [
+        # delta_closed's domain is -1 < rho < 1
+        ("delta", "--model", "squarev", "--transform", "optimal",
+         "--rho", "1", "--z", "1", "--z-ref", "1.645"),
+    ])
+    def test_rho_one_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "rho" in err
 
     @pytest.mark.parametrize("argv", [
         ("delta", "--model", "bvn", "--transform", "identity",
@@ -210,12 +225,12 @@ class TestExitCodes:
         ("transform", "--model", "bvn", "--z", "nan", "--rho", "0.3"),
         ("transform", "--model", "bvn", "--z", "nan", "--rho", "1"),
     ])
-    def test_nan_is_numeric_failure(self, capsys, argv):
+    def test_nan_is_usage_error(self, capsys, argv):
         code, out, err = run(capsys, *argv)
-        assert code == 2
+        assert code == 1
         assert out == ""
         assert "did not converge" not in err
-        assert err.startswith("numeric failure:")
+        assert err.startswith("error:")
 
 
 class TestSimulateAndTable:
@@ -447,3 +462,90 @@ class TestThreadsVariable:
         assert code == 1
         assert mc.THREADS_ENV in err
         assert not (tmp_path / "run.csv").exists()
+
+
+# (argv, what the message names): one input outside its domain per command;
+# {dir} holds the files TestExitCodePolicy.files writes
+_OUTSIDE_THE_DOMAIN = [
+    (("transform", "--model", "bvn", "--alpha", "0.05", "--rho", "nan"),
+     "rho=nan"),
+    (("delta", "--model", "bvn", "--transform", "optimal", "--rho", "0.5",
+      "--z", "1", "--z-ref", "0"), "z_ref=0.0"),
+    (("ranges", "--model", "bvn", "--alpha", "0.7", "--vs", "identity"),
+     "alpha"),
+    (("exact", "--rho", "0.5", "--n", "300", "--alpha", "0.05",
+      "--transform", "identity"), "n=300"),
+    (("simulate", "--config", "{dir}/bad_config.json"), "alphas"),
+    (("table", "--input", "{dir}/bad_table.json"), "n must be an integer"),
+]
+
+# one per command where a numeric failure is reachable
+_NUMERIC_FAILURES = [
+    # psi'(1) = 0.0 ** p with p < 0
+    ("transform", "--model", "bvn", "--alpha", "0.05", "--rho", "1"),
+    # at alpha 0.49 the exponent is 530 and psi'(0.99) underflows to 0.0
+    ("exact", "--rho", "0.99", "--n", "10", "--alpha", "0.49",
+     "--transform", "optimal"),
+    ("simulate", "--config", "{dir}/degenerate_config.json"),
+]
+
+
+class TestExitCodePolicy:
+    """A ValueError, an argument outside its documented domain, exits 1; an
+    ArithmeticError, a numeric failure, exits 2."""
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        config = {"model": "squarev", "alphas": [0.05], "rhos": [0.5],
+                  "ns": [10], "N": 100, "K": 2, "master_seed": 3,
+                  "output_path": str(tmp_path / "run.csv")}
+        contents = {
+            "bad_config": {**config, "alphas": [0.7]},
+            "degenerate_config": {**config, "alphas": [0.49],
+                                  "rhos": [0.99], "transforms": ["optimal"]},
+            "bad_table": [{**_TABLE_ROW, "n": 10.7}],
+        }
+        for name, content in contents.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(content))
+        return tmp_path
+
+    @pytest.mark.parametrize("argv, named", _OUTSIDE_THE_DOMAIN,
+                             ids=[argv[0] for argv, _ in _OUTSIDE_THE_DOMAIN])
+    def test_input_outside_its_domain_exits_1(self, capsys, files, argv,
+                                              named):
+        code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("argv", _NUMERIC_FAILURES,
+                             ids=[argv[0] for argv in _NUMERIC_FAILURES])
+    def test_numeric_failure_exits_2(self, capsys, files, argv):
+        before = sorted(files.iterdir())
+        code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
+        assert (code, out) == (2, "")
+        assert err.startswith("numeric failure:")
+        assert sorted(files.iterdir()) == before  # no output, no temporary
+
+    @pytest.mark.parametrize("error", [pe.DegenerateModelError,
+                                       IntegrationError])
+    def test_numeric_errors_are_arithmetic_errors(self, error):
+        assert issubclass(error, ArithmeticError)
+        assert not issubclass(error, ValueError)
+
+    @pytest.mark.parametrize("argv, code, prefix", [
+        (("ranges", "--model", "bvn", "--alpha", "0.05", "--vs", "identity"),
+         0, ""),
+        (_OUTSIDE_THE_DOMAIN[2][0], 1, "error: alpha must lie in"),
+        (_NUMERIC_FAILURES[0], 2, "numeric failure:"),
+    ], ids=["exit-0", "exit-1", "exit-2"])
+    def test_module_entry_point(self, argv, code, prefix):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([path] if path else [])))
+        proc = subprocess.run([sys.executable, "-m", "corrtrans.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix)
+        assert (proc.stdout != "") == (proc.stderr == "") == (code == 0)

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from corrtrans import edgeworth
 from corrtrans import models as mo
 from corrtrans import pearson as pe
 from corrtrans.specfun import (
@@ -175,6 +176,11 @@ class TestPsiClosed:
         with pytest.raises(ValueError):
             mo.psi_closed(mo.BVN, 0.0, 0.5)
 
+    def test_rejects_rho_outside_closed_interval(self):
+        for rho in (1.5, -1.5, math.nan):
+            with pytest.raises(ValueError, match="rho"):
+                mo.psi_closed(mo.BVN, Z05, rho)
+
     @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
     @pytest.mark.parametrize("alpha", [0.45, 0.48, 0.49])
     def test_steep_exponents_stay_in_range(self, model, alpha):
@@ -240,6 +246,22 @@ class TestDeltaClosed:
         for rho in (1.0, -1.0, 1.5, math.nan):
             with pytest.raises(ValueError, match="rho"):
                 mo.delta_closed(mo.BVN, "identity", 1.0, rho)
+
+    @pytest.mark.parametrize("z_ref", [None, 0.0, -0.0, 1e-200, math.nan])
+    def test_optimal_rejects_z_ref_zero_or_nan(self, z_ref):
+        with pytest.raises(ValueError, match="z_ref"):
+            mo.delta_closed(mo.BVN, "optimal", 1.0, 0.5, z_ref)
+
+    @pytest.mark.parametrize("z", [40.0, 1e154, 1e300, -1e300])
+    @pytest.mark.parametrize("kind", ["identity", "fisher", "optimal"])
+    def test_every_path_is_zero_where_phi_underflows(self, kind, z):
+        # z^2 overflows from |z| ~ 1.34e154 on, and inf * phi(z) is NaN
+        for model in (mo.BVN, mo.SQUAREV):
+            t = mo.transform_for(model, kind, Z05)
+            assert mo.delta_closed(model, kind, z, 0.5, Z05) == 0.0
+            assert pe.delta_psi(model.moments, t, 0.5, z) == 0.0
+        expansion = pe.assemble_statistic_model(mo.BVN.moments, 0.5)
+        assert edgeworth.delta(expansion, z) == 0.0
 
     @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
     @pytest.mark.parametrize("kind", ["identity", "fisher", "optimal"])

@@ -242,7 +242,7 @@ class TestWorkerPoolWidth:
     @pytest.mark.parametrize("env", ["two", "1.5", "4 cores"])
     def test_non_integer_names_the_variable(self, monkeypatch, env):
         monkeypatch.setenv(mc.THREADS_ENV, env)
-        with pytest.raises(mc.ConfigError, match=mc.THREADS_ENV):
+        with pytest.raises(ValueError, match=mc.THREADS_ENV):
             mc.worker_pool_width()
 
 
