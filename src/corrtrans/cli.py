@@ -123,9 +123,26 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
+def _z_alpha(alpha: float) -> float:
+    """z_alpha = Phi^-1(1 - alpha) of an --alpha in the documented level
+    domain 0 < alpha < 0.5, where 1 - alpha must not round to 1."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"--alpha must lie in (0, 0.5), got {alpha}")
+    if 1.0 - alpha == 1.0:
+        raise ValueError(f"--alpha {alpha} is too small: 1 - alpha rounds "
+                         "to 1")
+    return normal_quantile(1.0 - alpha)
+
+
+def _finite_z(z: float) -> float:
+    if not math.isfinite(z):
+        raise ValueError(f"--z must be finite, got {z}")
+    return z
+
+
 def _cmd_transform(args, digits: int) -> None:
     model = mo.get_model(args.model)
-    z = args.z if args.z is not None else normal_quantile(1.0 - args.alpha)
+    z = _finite_z(args.z) if args.z is not None else _z_alpha(args.alpha)
     t = mo.optimal_transform_closed(model, z)
     psi, dpsi = t.psi(args.rho), t.dpsi(args.rho)
     print(f"psi({_fmt(args.rho, digits)}) = {_fmt(psi, digits)}")
@@ -137,7 +154,8 @@ def _cmd_delta(args, digits: int) -> None:
     z_ref = args.z_ref
     if args.transform == "optimal" and z_ref is None:
         raise ValueError("delta --transform optimal requires --z-ref")
-    closed = mo.delta_closed(model, args.transform, args.z, args.rho, z_ref)
+    closed = mo.delta_closed(model, args.transform, _finite_z(args.z),
+                             args.rho, z_ref)
     t = mo.transform_for(model, args.transform, z_ref)
     generic = pe.delta_psi(model.moments, t, args.rho, args.z)
     print(f"closed-form:      {_fmt(closed, digits)}")
@@ -151,8 +169,7 @@ def _cmd_ranges(args, digits: int) -> None:
 
 
 def _cmd_exact(args, digits: int) -> None:
-    z_alpha = normal_quantile(1.0 - args.alpha)
-    t = mo.transform_for(mo.SQUAREV, args.transform, z_alpha)
+    t = mo.transform_for(mo.SQUAREV, args.transform, _z_alpha(args.alpha))
     prob = mo.squarev_exact_rejection(args.rho, args.n, t, args.alpha)
     eps = prob / args.alpha - 1.0
     print(f"rejection probability = {_fmt(prob, digits)}")

@@ -5,7 +5,7 @@ law on the vertices of [-1, 1]^2: Y a fair sign, W = YZ an independent sign
 with P(W = 1) = (1 + rho)/2, so the cell probabilities are (1 +/- rho)/4.
 Both come with closed-form joint moments, seeded draws of R, closed-form
 optimal transforms, closed-form leading error terms, dominance ranges, and
-(for SquareV) an exact small-n rejection oracle.
+(for SquareV) an exact rejection oracle for n up to 10^4.
 
 R depends on a sample only through a few sums, so each model draws those
 instead of n pairs: for BVN the centred scatter matrix, which is
@@ -321,39 +321,111 @@ def fisher_dominance_threshold(model: DependenceModel) -> float:
     return 1.0 - normal_cdf(math.sqrt(t_min))
 
 
+# At most this many (a, u) rows, and level-table entries, per block of the
+# exact oracle: its memory is bounded by the block, whatever n is.
+_ROWS_PER_BLOCK = 1 << 16
+
+
 def squarev_exact_rejection(rho: float, n: int, t: Transform,
                             alpha: float) -> float:
     """Exact rejection probability of the one-sided test under SquareV.
 
     With W = YZ, a = #{W = 1} ~ Bin(n, (1 + rho)/2), and given a the counts
     u = #{Y = 1, W = 1} ~ Bin(a, 1/2) and v = #{Y = 1, W = -1} ~
-    Bin(n - a, 1/2) are independent.  For each a, R is computed on the
-    (u, v) plane (0 on a degenerate denominator), and the atoms that
-    `pearson.rejection_rule` rejects, with sigma = SQUAREV.sigma(rho) (the
-    rule and sigma Monte Carlo counts by, so a threshold atom is decided
-    alike in both), add P(a) Bin(a, 1/2)(u) Bin(n - a, 1/2)(v).
+    Bin(m, 1/2), m = n - a, are independent.  An atom is rejected when
+    `pearson.rejection_rule`, with sigma = SQUAREV.sigma(rho), rejects its
+    R: the rule and sigma Monte Carlo counts by, so a threshold atom is
+    decided alike in both.
+
+    The rule is decided once per (a, u) row, not once per atom.  With
+    A = 2u - a and B = 2v - m, sy = A + B and sz = A - B, so level
+    j = 0..m//2 of a row holds v = j and v = m - j, which share |B| = m - 2j
+    and, since R is symmetric in (sy, sz), share R bit for bit.  R is
+    monotone in |B| along a row, so a row rejects a run of outer levels or
+    a run of inner ones: the rule is evaluated at the row's outermost and
+    innermost non-degenerate levels, and where they differ the switch level
+    is found by bisection, vectorised over the rows.  R := 0 exactly at the
+    four corners u in {0, a}, v in {0, m}, which are level 0 of rows u = 0
+    and u = a; R = 0 is decided once.  A row's mass comes from cumulative
+    sums of the level weights of Bin(m, 1/2), from the tail for outer runs
+    and from the centre for inner ones, so every sum has positive terms;
+    the total is the sum of P(a) Bin(a, 1/2)(u) times that mass.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"exact enumeration requires -1 < rho < 1, "
                          f"got rho={rho}")
-    if not (is_integer(n) and 1 <= n <= 200):
+    if not (is_integer(n) and 1 <= n <= 10_000):
         raise ValueError(f"exact enumeration requires an integer "
-                         f"1 <= n <= 200, got n={n!r}")
+                         f"1 <= n <= 10000, got n={n!r}")
     lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
-
-    def pmf(m: int, log_p: float, log_q: float) -> np.ndarray:
-        # Bin(m, p) at 0..m, from log p and log q = log(1 - p)
-        k = np.arange(m + 1)
-        return np.exp(lf[m] - lf[k] - lf[m - k] + k * log_p + (m - k) * log_q)
-
-    half = math.log(0.5)
-    p_a = pmf(n, math.log((1.0 + rho) / 2.0), math.log((1.0 - rho) / 2.0))
+    k = np.arange(n + 1)
+    p_a = _pmf(lf, n, k, math.log((1.0 + rho) / 2.0),
+               math.log((1.0 - rho) / 2.0))
     rejects = rejection_rule(t, rho, SQUAREV.sigma(rho), n, alpha)
-    terms = []
-    for a in range(n + 1):
-        # one a at a time keeps the arrays at O(n^2) entries
-        reject = rejects(_squarev_r(n, a, np.arange(a + 1)[:, None],
-                                    np.arange(n - a + 1)))
-        mass = pmf(a, half, half) @ reject @ pmf(n - a, half, half)
-        terms.append(float(p_a[a] * mass))
+    corner = bool(rejects(np.zeros(1))[0])
+    live = k[p_a > 0.0]
+    per_block = max(1, _ROWS_PER_BLOCK // (n + 1))
+    terms = [_rejected_mass(n, live[i:i + per_block], p_a, lf, rejects,
+                            corner)
+             for i in range(0, live.size, per_block)]
     return min(1.0, math.fsum(terms))
+
+
+def _pmf(lf: np.ndarray, m, k, log_p: float, log_q: float) -> np.ndarray:
+    """Bin(m, p) at k (arrays), from log p, log q = log(1 - p) and the table
+    lf of log k!."""
+    return np.exp(lf[m] - lf[k] - lf[m - k] + k * log_p + (m - k) * log_q)
+
+
+def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
+                   rejects: Callable[[np.ndarray], np.ndarray],
+                   corner: bool) -> float:
+    """Sum of P(a) Bin(a, 1/2)(u) times the rejected Bin(m, 1/2) mass of the
+    row, over the rows (a, u) of the given a; corner is whether R = 0
+    rejects."""
+    half = math.log(0.5)
+    m = n - a
+    # level j of m holds v = j and v = m - j (one atom where j = m - j)
+    j = np.arange(m.max() // 2 + 1)
+    mm = m[:, None]
+    inside = 2 * j <= mm
+    jj = np.where(inside, j, 0)
+    w = _pmf(lf, mm, jj, half, half)
+    w += np.where(2 * jj < mm, _pmf(lf, mm, mm - jj, half, half), 0.0)
+    w[~inside] = 0.0
+    # outer[:, k] sums the levels below k, centre[:, k] those from k on
+    outer = np.zeros((m.size, j.size + 1))
+    np.cumsum(w, axis=1, out=outer[:, 1:])
+    centre = np.zeros_like(outer)
+    centre[:, :-1] = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+
+    rows = a + 1
+    row = np.repeat(np.arange(a.size), rows)
+    u = np.arange(row.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    q = p_a[a[row]] * _pmf(lf, a[row], u, half, half)
+    keep = q > 0.0  # rows of zero weight add exactly nothing
+    row, u, q = row[keep], u[keep], q[keep]
+    ra, top = a[row], m[row] // 2
+    edge = (u == 0) | (u == ra)  # level 0 of these rows is two corners
+    first = edge.astype(int)  # outermost non-degenerate level
+    has = first <= top
+    p_out = has & rejects(_squarev_r(n, ra, u, np.minimum(first, top)))
+    p_in = has & rejects(_squarev_r(n, ra, u, top))
+
+    # levels first..cut-1 answer p_out, levels cut..top answer p_in
+    cut = first.copy()
+    todo = np.flatnonzero(p_out != p_in)
+    lo, hi = first[todo], top[todo]
+    while todo.size:
+        done = hi - lo <= 1
+        cut[todo[done]] = hi[done]
+        todo, lo, hi = todo[~done], lo[~done], hi[~done]
+        mid = (lo + hi) // 2
+        hit = rejects(_squarev_r(n, ra[todo], u[todo], mid)) == p_in[todo]
+        lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
+
+    mass = (np.where(p_out, outer[row, cut] - outer[row, first], 0.0)
+            + np.where(p_in, centre[row, cut], 0.0))
+    if corner:
+        mass += np.where(edge, outer[row, 1], 0.0)
+    return float(np.sum(q * mass))

@@ -473,11 +473,41 @@ _OUTSIDE_THE_DOMAIN = [
       "--z", "1", "--z-ref", "0"), "z_ref=0.0"),
     (("ranges", "--model", "bvn", "--alpha", "0.7", "--vs", "identity"),
      "alpha"),
-    (("exact", "--rho", "0.5", "--n", "300", "--alpha", "0.05",
-      "--transform", "identity"), "n=300"),
+    (("exact", "--rho", "0.5", "--n", "10001", "--alpha", "0.05",
+      "--transform", "identity"), "n=10001"),
     (("simulate", "--config", "{dir}/bad_config.json"), "alphas"),
     (("table", "--input", "{dir}/bad_table.json"), "n must be an integer"),
 ]
+
+# (argv, message): a flag outside its domain is named in the message, not
+# the library function that would refuse it
+_FLAG_OUTSIDE_ITS_DOMAIN = {
+    "exact-alpha-above-half": (
+        ("exact", "--rho", "0.5", "--n", "10", "--alpha", "0.7",
+         "--transform", "identity"),
+        "error: --alpha must lie in (0, 0.5), got 0.7"),
+    "exact-alpha-half-optimal": (
+        ("exact", "--rho", "0.5", "--n", "10", "--alpha", "0.5",
+         "--transform", "optimal"),
+        "error: --alpha must lie in (0, 0.5), got 0.5"),
+    "exact-alpha-nan": (
+        ("exact", "--rho", "0.5", "--n", "10", "--alpha", "nan",
+         "--transform", "identity"),
+        "error: --alpha must lie in (0, 0.5), got nan"),
+    "transform-alpha-above-half": (
+        ("transform", "--model", "bvn", "--alpha", "0.7", "--rho", "0.5"),
+        "error: --alpha must lie in (0, 0.5), got 0.7"),
+    "transform-alpha-subnormal": (
+        ("transform", "--model", "bvn", "--alpha", "1e-320", "--rho", "0.5"),
+        "error: --alpha 1e-320 is too small: 1 - alpha rounds to 1"),
+    "delta-z-inf": (
+        ("delta", "--model", "bvn", "--transform", "identity", "--rho",
+         "0.5", "--z", "inf"),
+        "error: --z must be finite, got inf"),
+    "transform-z-inf": (
+        ("transform", "--model", "bvn", "--z", "inf", "--rho", "0.5"),
+        "error: --z must be finite, got inf"),
+}
 
 # one per command where a numeric failure is reachable
 _NUMERIC_FAILURES = [
@@ -516,6 +546,13 @@ class TestExitCodePolicy:
         code, out, err = run(capsys, *(a.format(dir=files) for a in argv))
         assert (code, out) == (1, "")
         assert err.startswith("error:") and named in err
+
+    @pytest.mark.parametrize("argv, message",
+                             _FLAG_OUTSIDE_ITS_DOMAIN.values(),
+                             ids=_FLAG_OUTSIDE_ITS_DOMAIN)
+    def test_message_names_the_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", message + "\n")
 
     @pytest.mark.parametrize("argv", _NUMERIC_FAILURES,
                              ids=[argv[0] for argv in _NUMERIC_FAILURES])

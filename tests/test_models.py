@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -622,6 +623,27 @@ def _squarev_exact_rejection_slices(rho, n, t, alpha):
     return min(1.0, math.fsum(probs))
 
 
+def _squarev_exact_rejection_a_loop(rho, n, t, alpha):
+    # one a = #{W = 1} at a time: the rule on every atom of the (u, v) plane
+    # and P(a) Bin(a, 1/2) @ reject @ Bin(n - a, 1/2), summed over a
+    lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+
+    def pmf(m, log_p, log_q):
+        k = np.arange(m + 1)
+        return np.exp(lf[m] - lf[k] - lf[m - k] + k * log_p + (m - k) * log_q)
+
+    half = math.log(0.5)
+    p_a = pmf(n, math.log((1.0 + rho) / 2.0), math.log((1.0 - rho) / 2.0))
+    rejects = pe.rejection_rule(t, rho, mo.SQUAREV.sigma(rho), n, alpha)
+    terms = []
+    for a in range(n + 1):
+        reject = rejects(mo._squarev_r(n, a, np.arange(a + 1)[:, None],
+                                       np.arange(n - a + 1)))
+        mass = pmf(a, half, half) @ reject @ pmf(n - a, half, half)
+        terms.append(float(p_a[a] * mass))
+    return min(1.0, math.fsum(terms))
+
+
 def _lattice_r_values(n):
     # the distinct values of R over all cell-count vectors of size n
     return np.unique(_kernel_r(n, _count_vectors(n))).tolist()
@@ -632,6 +654,36 @@ KINDS = ("identity", "fisher", "optimal")
 # 20, psi is numerically flat past rho, and the lattice loop itself decides
 # on rounding.
 EXACT_ALPHAS = (0.01, 0.05, 0.24, 0.4)
+
+
+class TestSquarevRowPremise:
+    """What the exact oracle's one cut per (a, u) row rests on, checked on
+    every row: with m = n - a, R(v) and R(m - v) agree bit for bit, R is
+    monotone in |2v - m| over the non-degenerate atoms, and the degenerate
+    atoms (constant Y or Z, R := 0) are exactly the four corners
+    u in {0, a}, v in {0, m}."""
+
+    @pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
+    def test_every_row(self, n):
+        for a in range(n + 1):
+            m = n - a
+            u, v = np.arange(a + 1)[:, None], np.arange(m + 1)
+            r = mo._squarev_r(n, a, u, v)
+            assert np.array_equal(r, r[:, ::-1]), a
+
+            sy, sz = 2 * (u + v) - n, 2 * (u - v) - (2 * a - n)
+            vy, vz = 1.0 - (sy / n) ** 2, 1.0 - (sz / n) ** 2
+            degenerate = ~((vy > 0.0) & (vz > 0.0))
+            corner = ((u == 0) | (u == a)) & ((v == 0) | (v == m))
+            assert np.array_equal(degenerate, corner), a
+            assert np.all(r[corner] == 0.0), a
+
+            # levels v = 0..m//2, outermost first; rows u = 0 and u = a
+            # start past their corner
+            for row in range(a + 1):
+                first = 1 if row in (0, a) else 0
+                steps = np.diff(r[row, first:m // 2 + 1])
+                assert np.all(steps >= 0.0) or np.all(steps <= 0.0), (a, row)
 
 
 class TestSquarevExactRejection:
@@ -657,7 +709,8 @@ class TestSquarevExactRejection:
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
-            mo.squarev_exact_rejection(0.5, 201, pe.identity_transform(), 0.05)
+            mo.squarev_exact_rejection(0.5, 10_001, pe.identity_transform(),
+                                       0.05)
 
     def test_rejects_rho_at_the_boundary(self):
         for rho in (-1.0, 1.0):
@@ -694,6 +747,37 @@ class TestSquarevExactRejection:
                     assert (got == 0.0) == (want == 0.0), (kind, rho, alpha)
                     assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
                         (kind, rho, alpha)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20, 37, 50, 100, 200])
+    def test_matches_the_a_loop(self, n):
+        for kind in KINDS:
+            for rho in (-0.95, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99):
+                for alpha in EXACT_ALPHAS:
+                    t = mo.transform_for(mo.SQUAREV, kind,
+                                         normal_quantile(1.0 - alpha))
+                    got = mo.squarev_exact_rejection(rho, n, t, alpha)
+                    want = _squarev_exact_rejection_a_loop(rho, n, t, alpha)
+                    assert (got == 0.0) == (want == 0.0), (kind, rho, alpha)
+                    assert got == pytest.approx(want, rel=1e-13, abs=0.0), \
+                        (kind, rho, alpha)
+
+    def test_matches_the_a_loop_beyond_the_old_cap(self):
+        t = mo.transform_for(mo.SQUAREV, "optimal", Z05)
+        got = mo.squarev_exact_rejection(0.5, 400, t, 0.05)
+        want = _squarev_exact_rejection_a_loop(0.5, 400, t, 0.05)
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # in blocks of 2^16 rows the peak at n = 1000 is about 8 MiB; in one
+        # block of all ~n^2/2 rows it is 71 MiB
+        t = mo.transform_for(mo.SQUAREV, "optimal", Z05)
+        tracemalloc.start()
+        try:
+            mo.squarev_exact_rejection(0.5, 1000, t, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
     def test_refuses_a_non_integer_n(self):
         t = pe.identity_transform()
