@@ -36,7 +36,7 @@ class EdgeworthModel:
         if L.shape != (self.dim,) or H.shape != (self.dim, self.dim) \
                 or S.shape != (self.dim, self.dim):
             raise ValueError("inconsistent dimensions in EdgeworthModel")
-        if not np.allclose(S, S.T, atol=1e-10):
+        if not np.abs(S - S.T).max() <= 1e-10:
             raise ValueError("Sigma must be symmetric")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")

@@ -3,9 +3,10 @@
 BVN: bivariate normal with standardized marginals.  SquareV: the four-point
 law on the vertices of [-1, 1]^2: Y a fair sign, W = YZ an independent sign
 with P(W = 1) = (1 + rho)/2, so the cell probabilities are (1 +/- rho)/4.
-Both come with closed-form joint moments, seeded draws of R, closed-form
-optimal transforms, closed-form leading error terms, dominance ranges, and
-(for SquareV) an exact rejection oracle for n up to 10^4.
+Each writes its joint moments as one closed-form table per rho, and both
+come with seeded draws of R, closed-form optimal transforms, closed-form
+leading error terms, dominance ranges, and (for SquareV) an exact rejection
+oracle for n up to 10^4.
 
 R depends on a sample only through a few sums, so each model draws those
 instead of n pairs: for BVN the centred scatter matrix, which is
@@ -63,34 +64,41 @@ __all__ = [
 
 TRANSFORM_KINDS = ("identity", "fisher", "optimal")
 
-_BVN_M = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0)  # N(0,1) raw moments 0..6
+# every order 0 <= i, j with i + j <= 6, each at its value where it does not
+# depend on rho: odd orders of both laws are 0, and the rho entries are set
+# per call
+_BVN_FIXED = {**{(i, j): 0.0 for i in range(7) for j in range(7 - i)},
+              (0, 0): 1.0, (2, 0): 1.0, (0, 2): 1.0, (4, 0): 3.0, (0, 4): 3.0,
+              (6, 0): 15.0, (0, 6): 15.0}
+_SQUAREV_FIXED = {(i, j): 1.0 if i % 2 == j % 2 == 0 else 0.0
+                  for i in range(7) for j in range(7 - i)}
 
 
-def bvn_moments(rho: float, i: int, j: int) -> float:
-    """E Y^i Z^j under the standardized bivariate normal law."""
-    _check_orders(i, j)
-    total = 0.0
-    root = math.sqrt(1.0 - rho * rho)
-    for k in range(j + 1):
-        mi, mj = _BVN_M[i + k], _BVN_M[j - k]
-        if mi == 0.0 or mj == 0.0:
-            continue
-        total += math.comb(j, k) * rho ** k * root ** (j - k) * mi * mj
-    return total
+def bvn_moments(rho: float) -> dict[tuple[int, int], float]:
+    """E Y^i Z^j under the standardized bivariate normal law, by Isserlis'
+    theorem, for every order with i + j <= 6."""
+    if abs(rho) > 1.0:  # a NaN rho passes, to fail as a degenerate model
+        raise ValueError(f"moments require |rho| <= 1, got rho={rho}")
+    r2 = rho * rho
+    mu = _BVN_FIXED.copy()
+    mu[1, 1] = rho
+    mu[3, 1] = mu[1, 3] = 3.0 * rho
+    mu[2, 2] = 1.0 + 2.0 * r2
+    mu[5, 1] = mu[1, 5] = 15.0 * rho
+    mu[4, 2] = mu[2, 4] = 3.0 + 12.0 * r2
+    mu[3, 3] = rho * (9.0 + 6.0 * r2)
+    return mu
 
 
-def squarev_moments(rho: float, i: int, j: int) -> float:
-    """E Y^i Z^j under the four-point vertex law."""
-    _check_orders(i, j)
-    even_i = 1.0 if i % 2 == 0 else 0.0
-    even_j = 1.0 if j % 2 == 0 else 0.0
-    even_ij = 1.0 if (i + j) % 2 == 0 else 0.0
-    return (1.0 - rho) * even_i * even_j + rho * even_ij
-
-
-def _check_orders(i: int, j: int) -> None:
-    if not (0 <= i <= 6 and 0 <= j <= 6 and i + j <= 6):
-        raise ValueError("moment orders must satisfy 0 <= i, j and i + j <= 6")
+def squarev_moments(rho: float) -> dict[tuple[int, int], float]:
+    """E Y^i Z^j under the four-point vertex law, for every order with
+    i + j <= 6: Y^2 = Z^2 = 1, so it is 1 where i and j are both even, E YZ
+    = rho where both are odd, and 0 otherwise."""
+    if abs(rho) > 1.0:
+        raise ValueError(f"moments require |rho| <= 1, got rho={rho}")
+    mu = _SQUAREV_FIXED.copy()
+    mu[1, 1] = mu[3, 1] = mu[1, 3] = mu[5, 1] = mu[1, 5] = mu[3, 3] = rho
+    return mu
 
 
 def _squarev_r(n: int, a, u, v) -> np.ndarray:
@@ -136,6 +144,8 @@ class DependenceModel:
     """
 
     name: str
+    # rho -> {(i, j): E Y^i Z^j} for every order with i + j <= 6, one table
+    # per call
     moments: Moments
     # (rho, rows, n, rng) -> R of `rows` samples of size n, drawn from the
     # statistics R depends on, at O(1) cost per sample

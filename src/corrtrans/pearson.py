@@ -2,9 +2,9 @@
 numeric optimal transforms, and the standardized tau statistic.
 
 A dependence model enters only through its joint moments mu_ij(rho) of the
-standardized pair (Y, Z), for orders i + j <= 6.  Each call reads the
-model's moments once, into one table of the 16 orders the expansion uses,
-and the formulas for sigma, the skewness and Delta all read that table.
+standardized pair (Y, Z), for orders i + j <= 6, which it gives as one table
+per rho.  Each call asks the model for that table once, and the formulas for
+sigma, the skewness and Delta all read it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -44,13 +44,9 @@ NUMERIC_RHO_LIMIT = 1.0 - 1e-6
 # step control of the ODE behind optimal_transform_numeric
 NUMERIC_ODE_TOL = Tolerance(1e-11, 1e-11, 100_000)
 
-# joint moments mu_ij(rho) = E Y^i Z^j of a standardized pair, as (rho, i, j)
-Moments = Callable[[float, int, int], float]
-
-# the orders sigma, the skewness, Delta and Sigma read: a call asks the model
-# for each once, into one table (_moment_table)
-_ORDERS = ((0, 3), (3, 0), (1, 2), (2, 1), (0, 4), (4, 0), (1, 3), (3, 1),
-           (2, 2), (0, 6), (6, 0), (1, 5), (5, 1), (2, 4), (4, 2), (3, 3))
+# joint moments of a standardized pair: rho -> {(i, j): mu_ij(rho) = E Y^i Z^j}
+# for every order 0 <= i, j with i + j <= 6; a missing order is a KeyError
+Moments = Callable[[float], Mapping[tuple[int, int], float]]
 
 
 class DegenerateModelError(ArithmeticError):
@@ -105,12 +101,7 @@ def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
     return np.clip(r, -1.0, 1.0, out=r)
 
 
-def _moment_table(m: Moments, rho: float) -> dict[tuple[int, int], float]:
-    """mu_ij(rho) at the orders in _ORDERS; any other order is a KeyError."""
-    return {(i, j): m(rho, i, j) for i, j in _ORDERS}
-
-
-def _sigma(mu: dict, rho: float) -> float:
+def _sigma(mu: Mapping, rho: float) -> float:
     radicand = (
         rho * rho * (mu[0, 4] + 2.0 * mu[2, 2] + mu[4, 0])
         - 4.0 * rho * (mu[1, 3] + mu[3, 1])
@@ -121,7 +112,7 @@ def _sigma(mu: dict, rho: float) -> float:
     return 0.5 * math.sqrt(radicand)
 
 
-def _skew(mu: dict, rho: float, s: float) -> float:
+def _skew(mu: Mapping, rho: float, s: float) -> float:
     w3 = (
         mu[3, 3]
         - 1.5 * rho * (mu[2, 4] + mu[4, 2])
@@ -133,7 +124,7 @@ def _skew(mu: dict, rho: float, s: float) -> float:
     return w3 / s ** 3
 
 
-def _delta_r_tilde(mu: dict, rho: float, z: float, s2: float) -> float:
+def _delta_r_tilde(mu: Mapping, rho: float, z: float, s2: float) -> float:
     t = z * z
     term0 = 16.0 * (
         (t - 1.0) * (6.0 * mu[1, 2] * mu[2, 1] - mu[3, 3])
@@ -171,13 +162,13 @@ def _delta_r_tilde(mu: dict, rho: float, z: float, s2: float) -> float:
 
 def sigma_rho(m: Moments, rho: float) -> float:
     """Asymptotic standard deviation of sqrt(n)(R - rho)."""
-    return _sigma(_moment_table(m, rho), rho)
+    return _sigma(m(rho), rho)
 
 
 def skew_lambda(m: Moments, rho: float) -> float:
     """Third moment of Lambda = (YZ - (rho/2)(Y^2 + Z^2)) / sigma, from the
     cubic expansion: a polynomial in rho with joint-moment coefficients."""
-    mu = _moment_table(m, rho)
+    mu = m(rho)
     return _skew(mu, rho, _sigma(mu, rho))
 
 
@@ -186,7 +177,7 @@ def delta_r_tilde(m: Moments, rho: float, z: float) -> float:
 
     The full term is Delta_R(z) = phi(z) * delta_r_tilde / (96 sigma^3).
     """
-    mu = _moment_table(m, rho)
+    mu = m(rho)
     return _delta_r_tilde(mu, rho, z, _sigma(mu, rho) ** 2)
 
 
@@ -194,7 +185,7 @@ def h_z(m: Moments, rho: float, z: float) -> float:
     """Right-hand side of the optimality ODE psi''/psi' = h_z(rho)."""
     if z == 0.0 or not math.isfinite(z):
         raise ValueError("h_z requires a finite z != 0")
-    mu = _moment_table(m, rho)
+    mu = m(rho)
     s = _sigma(mu, rho)
     return _delta_r_tilde(mu, rho, z, s ** 2) / (48.0 * s ** 4 * z * z)
 
@@ -238,7 +229,7 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
 
 def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
-    mu = _moment_table(m, rho)
+    mu = m(rho)
     s = _sigma(mu, rho)
     phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
     delta_r = phi * _delta_r_tilde(mu, rho, z, s ** 2) / (96.0 * s ** 3)
@@ -290,6 +281,8 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     lo, hi = -1.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # lo and hi are neighbouring floats
+            break
         if t.psi(mid) > cut:
             hi = mid
         else:
@@ -347,7 +340,7 @@ def _hessian(rho: float) -> np.ndarray:
 
 def assemble_statistic_model(m: Moments, rho: float) -> edgeworth.EdgeworthModel:
     """EdgeworthModel for R - rho = f(mean of V) with V the 5-dim score vector."""
-    mu = _moment_table(m, rho)
+    mu = m(rho)
     Sigma = np.array([
         [1.0, rho, mu[3, 0], mu[1, 2], mu[2, 1]],
         [rho, 1.0, mu[2, 1], mu[0, 3], mu[1, 2]],

@@ -118,6 +118,16 @@ class TestValidation:
             ed.EdgeworthModel(2, np.array([1.0, 0]), np.zeros((2, 2)),
                               np.array([[1.0, 0.5], [0.2, 1.0]]), 1.0, 0.0)
 
+    def test_symmetry_check_is_absolute(self):
+        # 1.0 against 1.000001 is within any relative tolerance of 1e-5
+        L, H = np.array([1.0, 0.0]), np.zeros((2, 2))
+        with pytest.raises(ValueError, match="symmetric"):
+            ed.EdgeworthModel(2, L, H, np.array([[1.0, 1.0], [1.000001, 2.0]]),
+                              1.0, 0.0)
+        m = ed.EdgeworthModel(2, L, H, np.array([[1.0, 1.0], [1.0, 2.0]]),
+                              1.0, 0.0)
+        assert m.sigma == 1.0
+
     def test_rejects_inconsistent_sigma(self):
         with pytest.raises(ValueError):
             ed.EdgeworthModel(2, np.array([1.0, 0]), np.zeros((2, 2)),

@@ -29,11 +29,69 @@ Z01 = normal_quantile(0.99)
 ORDERS = [(i, j) for i in range(7) for j in range(7) if i + j <= 6]
 
 
+_BVN_M = (1.0, 0.0, 1.0, 0.0, 3.0, 0.0, 15.0)  # N(0,1) raw moments 0..6
+
+
+def bvn_moment_reference(rho, i, j):
+    """E Y^i Z^j of the standardized BVN law, with Z = rho Y + sqrt(1 -
+    rho^2) X for independent standard normals Y, X, expanded binomially."""
+    total = 0.0
+    root = math.sqrt(1.0 - rho * rho)
+    for k in range(j + 1):
+        mi, mj = _BVN_M[i + k], _BVN_M[j - k]
+        if mi == 0.0 or mj == 0.0:
+            continue
+        total += math.comb(j, k) * rho ** k * root ** (j - k) * mi * mj
+    return total
+
+
+def squarev_moment_reference(rho, i, j):
+    """E Y^i Z^j of the four-point vertex law by parity: Y^2 = Z^2 = 1 and
+    E YZ = rho."""
+    even_i = 1.0 if i % 2 == 0 else 0.0
+    even_j = 1.0 if j % 2 == 0 else 0.0
+    even_ij = 1.0 if (i + j) % 2 == 0 else 0.0
+    return (1.0 - rho) * even_i * even_j + rho * even_ij
+
+
+class TestMomentTables:
+    @pytest.mark.parametrize("model, reference", [
+        (mo.BVN, bvn_moment_reference),
+        (mo.SQUAREV, squarev_moment_reference)], ids=["bvn", "squarev"])
+    def test_matches_reference_formula(self, model, reference):
+        for rho in np.linspace(-0.99, 0.99, 199):
+            mu = model.moments(rho)
+            assert sorted(mu) == ORDERS
+            for (i, j) in ORDERS:
+                assert abs(mu[i, j] - reference(rho, i, j)) <= 1e-14, (rho, i, j)
+
+    def test_exact_entries(self):
+        for rho in np.linspace(-0.99, 0.99, 199):
+            bvn = mo.bvn_moments(rho)
+            assert bvn[4, 0] == 3.0 and bvn[0, 6] == 15.0
+            squarev = mo.squarev_moments(rho)
+            assert all(squarev[i, j] == 1.0 for (i, j) in ORDERS
+                       if i % 2 == 0 and j % 2 == 0)
+
+    def test_rejects_rho_beyond_one(self):
+        for moments in (mo.bvn_moments, mo.squarev_moments):
+            for rho in (1.5, -1.0 - 1e-15):
+                with pytest.raises(ValueError, match="rho"):
+                    moments(rho)
+
+    def test_fresh_table_per_call(self):
+        # a caller that writes to its table leaves the next call's alone
+        for moments in (mo.bvn_moments, mo.squarev_moments):
+            moments(0.5)[2, 2] = 0.0
+            assert moments(0.5)[2, 2] != 0.0
+
+
 class TestBvnMoments:
     def test_basic(self):
-        assert mo.bvn_moments(0.5, 1, 1) == pytest.approx(0.5)
-        assert mo.bvn_moments(0.5, 2, 2) == pytest.approx(1.5)       # 1+2rho^2
-        assert mo.bvn_moments(0.5, 3, 3) == pytest.approx(5.25)      # 9rho+6rho^3
+        mu = mo.bvn_moments(0.5)
+        assert mu[1, 1] == pytest.approx(0.5)
+        assert mu[2, 2] == pytest.approx(1.5)       # 1+2rho^2
+        assert mu[3, 3] == pytest.approx(5.25)      # 9rho+6rho^3
 
     def test_isserlis_oracle(self):
         # brute-force Wick pairing over all pairings of the 2k coordinates
@@ -59,37 +117,38 @@ class TestBvnMoments:
                 count += 1
             return total
 
+        mu = mo.bvn_moments(0.37)
         for (i, j) in [(2, 2), (3, 3), (4, 2), (1, 5), (2, 4), (6, 0)]:
-            assert mo.bvn_moments(0.37, i, j) == pytest.approx(
-                wick(0.37, i, j), abs=1e-12)
+            assert mu[i, j] == pytest.approx(wick(0.37, i, j), abs=1e-12)
 
     def test_standardization(self):
         for rho in (0.0, 0.5, -0.8):
-            assert mo.bvn_moments(rho, 0, 0) == 1.0
-            assert mo.bvn_moments(rho, 1, 0) == 0.0
-            assert mo.bvn_moments(rho, 2, 0) == pytest.approx(1.0)
-            assert mo.bvn_moments(rho, 0, 2) == pytest.approx(1.0)
+            mu = mo.bvn_moments(rho)
+            assert mu[0, 0] == 1.0
+            assert mu[1, 0] == 0.0
+            assert mu[2, 0] == pytest.approx(1.0)
+            assert mu[0, 2] == pytest.approx(1.0)
 
     def test_rejects_high_order(self):
-        with pytest.raises(ValueError):
-            mo.bvn_moments(0.5, 4, 4)
+        with pytest.raises(KeyError):
+            mo.bvn_moments(0.5)[4, 4]
 
 
 class TestSquarevMoments:
     def test_parity_rules(self):
-        assert mo.squarev_moments(0.5, 1, 0) == 0.0
-        assert mo.squarev_moments(0.5, 2, 2) == 1.0
-        assert mo.squarev_moments(0.5, 1, 3) == 0.5   # Y^2=Z^2=1 a.s.
-        assert mo.squarev_moments(0.7, 1, 1) == pytest.approx(0.7)
+        assert mo.squarev_moments(0.5)[1, 0] == 0.0
+        assert mo.squarev_moments(0.5)[2, 2] == 1.0
+        assert mo.squarev_moments(0.5)[1, 3] == 0.5   # Y^2=Z^2=1 a.s.
+        assert mo.squarev_moments(0.7)[1, 1] == pytest.approx(0.7)
 
     def test_exact_four_point_oracle(self):
         for rho in (0.0, 0.3, 0.9):
             pts = [(1, 1, (1 + rho) / 4), (1, -1, (1 - rho) / 4),
                    (-1, 1, (1 - rho) / 4), (-1, -1, (1 + rho) / 4)]
+            mu = mo.squarev_moments(rho)
             for (i, j) in ORDERS:
                 exact = sum(p * y ** i * z ** j for y, z, p in pts)
-                assert mo.squarev_moments(rho, i, j) == pytest.approx(
-                    exact, abs=1e-14)
+                assert mu[i, j] == pytest.approx(exact, abs=1e-14)
 
 
 class TestSamplers:
@@ -122,11 +181,12 @@ class TestSamplers:
             rng = np.random.Generator(np.random.Philox(key=key))
             yz = sampler(rho, n, rng)
             y, z = yz[:, 0], yz[:, 1]
+            mu = model.moments(rho)
             for (i, j) in ORDERS:
                 vals = y ** i * z ** j
                 est = float(vals.mean())
                 se = float(vals.std()) / math.sqrt(n)
-                exact = model.moments(rho, i, j)
+                exact = mu[i, j]
                 assert abs(est - exact) <= 5 * se + 1e-12, (model.name, i, j)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9])

@@ -1,5 +1,5 @@
 import math
-from collections import Counter
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -90,7 +90,7 @@ class TestSigmaRho:
             math.sqrt(0.75), abs=1e-13)
 
     def test_independent_pair(self):
-        spec = lambda rho, i, j: mo.bvn_moments(0.0, i, j)
+        spec = lambda rho: mo.bvn_moments(0.0)
         assert pe.sigma_rho(spec, 0.0) == pytest.approx(1.0, abs=1e-13)
 
     def test_even_in_rho(self):
@@ -234,16 +234,36 @@ class TestDeltaPsi:
                     assert abs(pe.delta_psi(m, t, rho, z)) < 1e-10
 
 
-class CountingMoments:
-    """Moments that count how often each order (i, j) is asked for."""
+class RecordingMoments:
+    """Moments that count the calls of a model and record which orders
+    (i, j) the returned tables are read at."""
 
     def __init__(self, m):
         self.m = m
-        self.asked = Counter()
+        self.calls = 0
+        self.read = set()
 
-    def __call__(self, rho, i, j):
-        self.asked[i, j] += 1
-        return self.m(rho, i, j)
+    def __call__(self, rho):
+        self.calls += 1
+        return ReadRecorder(self.m(rho), self.read)
+
+
+class ReadRecorder(Mapping):
+    """A moment table that adds each order read to a shared set."""
+
+    def __init__(self, table, read):
+        self.table = table
+        self.read = read
+
+    def __getitem__(self, order):
+        self.read.add(order)
+        return self.table[order]
+
+    def __iter__(self):
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
 
 
 MOMENT_READERS = {
@@ -262,10 +282,75 @@ class TestMomentReads:
     @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
                              ids=lambda model: model.name)
     def test_each_order_is_read_once(self, reader, model):
-        m = CountingMoments(model.moments)
+        # the model builds its table, and so each order, once per call
+        m = RecordingMoments(model.moments)
         MOMENT_READERS[reader](m)
-        assert m.asked and max(m.asked.values()) == 1, m.asked
-        assert all(i >= 0 and j >= 0 and i + j <= 6 for i, j in m.asked)
+        assert m.calls == 1
+        assert m.read and all(i >= 0 and j >= 0 and i + j <= 6
+                              for i, j in m.read), m.read
+
+
+def rejection_threshold_80(t, rho, sigma, n, alpha):
+    """r* by the fixed 80-step bisection on psi, which goes on evaluating
+    psi after the bracket has closed to two neighbouring floats."""
+    z_alpha = normal_quantile(1.0 - alpha)
+    dpsi = t.dpsi(rho)
+    if not dpsi * sigma > 0.0:
+        raise pe.DegenerateModelError("scale")
+    psi_rho = t.psi(rho)
+    cut = psi_rho + z_alpha * dpsi * sigma / math.sqrt(n)
+    if cut == psi_rho and z_alpha != 0.0:
+        raise pe.DegenerateModelError("step")
+    lo, hi = -1.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if t.psi(mid) > cut:
+            hi = mid
+        else:
+            lo = mid
+    if hi == 1.0 and not pe.tau(t, 1.0, rho, sigma, n) > z_alpha:
+        return math.inf
+    return 0.5 * (lo + hi)
+
+
+class TestRejectionThreshold:
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_matches_fixed_bisection(self, model):
+        # bit for bit, +inf included, with fewer psi calls: psi(rho), the
+        # bisection until lo and hi are neighbours, and tau(1)'s two
+        calls = [0]
+        finite = infinite = 0
+        for alpha in (0.01, 0.05, 0.24, 0.4, 0.45):
+            z = normal_quantile(1.0 - alpha)
+            for kind in mo.TRANSFORM_KINDS:
+                base = mo.transform_for(model, kind, z)
+
+                def psi(r, base=base):
+                    calls[0] += 1
+                    return base.psi(r)
+
+                t = pe.Transform(psi, base.dpsi, base.dlog_dpsi)
+                for rho in (-0.99, -0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 0.99):
+                    sigma = model.sigma(rho)
+                    for n in (2, 3, 5, 10, 20, 100, 1000, 10_000):
+                        case = (alpha, kind, rho, n)
+                        try:
+                            expected = rejection_threshold_80(
+                                t, rho, sigma, n, alpha)
+                        except pe.DegenerateModelError:
+                            with pytest.raises(pe.DegenerateModelError):
+                                pe.rejection_threshold(t, rho, sigma, n, alpha)
+                            continue
+                        calls[0] = 0
+                        r_star = pe.rejection_threshold(t, rho, sigma, n, alpha)
+                        assert r_star.hex() == expected.hex(), case
+                        assert calls[0] <= 64, case
+                        if math.isinf(r_star):
+                            infinite += 1
+                        else:
+                            finite += 1
+        assert finite > 800 and infinite > 50, (finite, infinite)
 
 
 class TestTau:
