@@ -3,8 +3,8 @@ Seeded Monte Carlo calibration runs
 ===================================
 
 Rejection rates for the bivariate normal model have no exact oracle, so we
-estimate them by simulation.  The grid runner assigns every (cell, worker)
-pair its own counter-based random substream, which makes results
+estimate them by simulation.  The grid runner assigns every (rho, n,
+worker) task its own counter-based random substream, which makes results
 bit-identical no matter how many threads are used.  This script runs a
 small grid, compares the estimates to the second-order predictions, and
 shows the determinism property directly.

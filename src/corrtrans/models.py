@@ -13,6 +13,8 @@ instead of n pairs: for BVN the centred scatter matrix, which is
 Wishart(Sigma, n - 1), by the Bartlett decomposition (three draws); for
 SquareV a = #{W = 1} ~ Bin(n, (1 + rho)/2), u = #{Y = 1, W = 1} ~ Bin(a, 1/2)
 and v = #{Y = 1, W = -1} ~ Bin(n - a, 1/2), the (a, u, v) the oracle sums over.
+For n <= 512 u and v are popcounts of Y's n fair signs drawn as random bits,
+at most 8 words per sample; above it they are two binomials.
 """
 
 from __future__ import annotations
@@ -126,10 +128,45 @@ def _bvn_sample_r(rho: float, rows: int, n: int, rng: np.random.Generator
     return r_from_sums(n, 0.0, 0.0, c1sq, c2sq, c1)
 
 
+# Largest n whose Y signs SquareV draws as random bits, a cap of 8 words per
+# row set below the measured crossover; above it u and v are two binomials.
+# Per replicate of sample_r (2 cores, 2 x 10^5 rows, numpy 2.4) the bits are
+# 1.9-2.0x faster than the binomials for n <= 256, 1.4x at 512, 1.2x at 700,
+# even at 1000 and 7x slower at 10^4.
+_SQUAREV_BITS_MAX_N = 512
+
+
+def _squarev_sign_counts(n: int, a: np.ndarray, rng: np.random.Generator
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """u = #{Y = 1, W = 1} and v = #{Y = 1, W = -1} given a = #{W = 1},
+    from Y's n signs as n random bits: word w holds signs 64w to 64w + k - 1
+    and the a pairs with W = 1 take the lowest a bits, so u counts the set
+    bits below position a and v those above it.  Shifting word w left by
+    64(w + 1) - a, clipped to [0, 64], drops the bits at or above a (a shift
+    of 64 gives 0).  Every array is reused in place, and the scratch ones are
+    freed on return, before R is computed."""
+    u = np.zeros(len(a), np.int64)
+    v = np.zeros(len(a), np.int64)  # all set bits until the end
+    shift = np.empty(len(a), np.int64)
+    count = np.empty(len(a), np.uint8)
+    for w in range((n + 63) // 64):
+        k = min(64, n - 64 * w)
+        y = rng.integers(0, (1 << k) - 1, len(a), np.uint64, endpoint=True)
+        np.add(v, np.bitwise_count(y, out=count), out=v)
+        np.subtract(64 * (w + 1), a, out=shift)
+        np.clip(shift, 0, 64, out=shift)
+        np.left_shift(y, shift.view(np.uint64), out=y)
+        np.add(u, np.bitwise_count(y, out=count), out=u)
+        del y  # before the next word is drawn
+    return u, np.subtract(v, u, out=v)
+
+
 def _squarev_sample_r(rho: float, rows: int, n: int,
                       rng: np.random.Generator) -> np.ndarray:
     a = rng.binomial(n, (1.0 + rho) / 2.0, rows)
-    return _squarev_r(n, a, rng.binomial(a, 0.5), rng.binomial(n - a, 0.5))
+    if n > _SQUAREV_BITS_MAX_N:
+        return _squarev_r(n, a, rng.binomial(a, 0.5), rng.binomial(n - a, 0.5))
+    return _squarev_r(n, a, *_squarev_sign_counts(n, a, rng))
 
 
 @dataclass(frozen=True)
@@ -148,7 +185,7 @@ class DependenceModel:
     # per call
     moments: Moments
     # (rho, rows, n, rng) -> R of `rows` samples of size n, drawn from the
-    # statistics R depends on, at O(1) cost per sample
+    # statistics R depends on, at a cost per sample bounded whatever n is
     sample_r: Callable[[float, int, int, np.random.Generator], np.ndarray]
     odd_factor: Callable[[float], float]
     delta_const: float

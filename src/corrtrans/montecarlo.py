@@ -9,10 +9,12 @@ of scheduling or thread count.  Every (alpha, transform) rule of that
 simulation budget; the alpha cells of one (rho, n) are therefore
 correlated with each other, which leaves each cell's eps_mean and eps_se
 as they are.  A worker draws its N values of R in one call to the model's
-`sample_r`, which costs O(1) per sample whatever n is, so a task holds O(N)
-memory; tasks run on threads of one process (numpy draws without the GIL),
-so a run holds about width x that at a time.  Draws are counted by
-`pearson.rejection_rule`, as the exact SquareV oracle is.
+`sample_r`, whose cost per sample is bounded whatever n is (a few draws:
+for SquareV at most 8 words of random bits or two binomials after the
+first), so a task holds O(N) memory; tasks run on threads of one process
+(numpy draws without the GIL), so a run holds about width x that at a
+time.  Draws are counted by `pearson.rejection_rule`, as the exact SquareV
+oracle is.
 """
 
 from __future__ import annotations

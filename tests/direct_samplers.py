@@ -84,12 +84,27 @@ def squarev_sample_r_reference(rho: float, rows: int, n: int,
                                rng: np.random.Generator) -> np.ndarray:
     """The SquareV sampler of `models` written out: W = YZ is 1 with
     probability (1 + rho)/2 and Y is a fair sign independent of W, so
-    a = #{W = 1}, u = #{Y = 1, W = 1} and v = #{Y = 1, W = -1} are three
-    binomials; R from the four cell counts.  It must draw the same R bit for
-    bit."""
+    a = #{W = 1} is a binomial; u = #{Y = 1, W = 1} and v = #{Y = 1, W = -1};
+    R from the four cell counts.  It must draw the same R bit for bit.
+
+    For n <= 512 Y's signs are n random bits, drawn as 64-bit words one word
+    index at a time, word w over its min(64, n - 64w) bits: Y_i = 1 where bit
+    i % 64 of word i // 64 is set, and pairs 0 to a - 1 are the W = 1 ones.
+    Above 512, u ~ Bin(a, 1/2) and v ~ Bin(n - a, 1/2)."""
     a = rng.binomial(n, (1.0 + rho) / 2.0, rows)
-    u = rng.binomial(a, 0.5)
-    v = rng.binomial(n - a, 0.5)
+    if n <= 512:
+        words = [rng.integers(0, 2 ** min(64, n - 64 * w) - 1, rows,
+                              np.uint64, endpoint=True)
+                 for w in range((n + 63) // 64)]
+        u = np.zeros(rows, np.int64)
+        v = np.zeros(rows, np.int64)
+        for i in range(n):
+            y_i = ((words[i // 64] >> (i % 64)) & 1).astype(np.int64)
+            u += np.where(i < a, y_i, 0)
+            v += np.where(i < a, 0, y_i)
+    else:
+        u = rng.binomial(a, 0.5)
+        v = rng.binomial(n - a, 0.5)
     # cells (1, 1), (1, -1), (-1, 1), (-1, -1)
     n11, n1m, nm1, nmm = u, v, n - a - v, a - u
     return r_from_sums_reference(n, n11 + n1m - nm1 - nmm,

@@ -532,6 +532,19 @@ def _chi2_sf(x, df):
     return float(mp.gammainc(df / 2.0, x / 2.0, mp.inf, regularized=True))
 
 
+def _pooled_chi2_sf(observed, expected):
+    """Pearson's chi-square tail probability of observed against expected
+    cell counts."""
+    # the rarest cells share one bin with an expected count of >= 5
+    order = np.argsort(expected)
+    pooled = np.searchsorted(np.cumsum(expected[order]), 5.0) + 1
+    obs = np.append(observed[order[pooled:]], observed[order[:pooled]].sum())
+    exp = np.append(expected[order[pooled:]], expected[order[:pooled]].sum())
+    stat = float(np.sum((obs - exp) ** 2 / exp))
+    assert len(exp) >= 2
+    return _chi2_sf(stat, len(exp) - 1)
+
+
 def _ks_statistic(a, b):
     # two-sample Kolmogorov-Smirnov distance between empirical cdfs
     a, b = np.sort(a), np.sort(b)
@@ -556,8 +569,11 @@ class TestSampleR:
                 rho, rows, n, np.random.Generator(np.random.Philox(key=key)))
             assert np.array_equal(got, want), key
 
-    @pytest.mark.parametrize("n", [1, 2, 10, 200])
-    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.99])
+    # one to eight words of Y bits, and the two binomials above n = 512;
+    # rho = +-0.99 often puts every pair on one side of the bit mask (a = 0
+    # or a = n), which shifts whole words by 0 and by 64
+    @pytest.mark.parametrize("n", [1, 2, 10, 63, 64, 65, 200, 512, 513])
+    @pytest.mark.parametrize("rho", [-0.99, -0.9, 0.0, 0.5, 0.99])
     def test_squarev_draws_match_reference_bitwise(self, rho, n):
         for key, rows in ((0, 1), (7, 5000), (2 ** 64 - 1, 40_000)):
             got = mo.SQUAREV.sample_r(
@@ -585,17 +601,32 @@ class TestSampleR:
         index = np.minimum(np.searchsorted(atoms, r), len(atoms) - 1)
         assert np.array_equal(atoms[index], r)  # every draw is an atom
         observed = np.bincount(index, minlength=len(atoms))
-        expected = draws * pmf
-        # the rarest atoms share one bin with an expected count of >= 5
-        order = np.argsort(expected)
-        pooled = np.searchsorted(np.cumsum(expected[order]), 5.0) + 1
-        obs = np.append(observed[order[pooled:]],
-                        observed[order[:pooled]].sum())
-        exp = np.append(expected[order[pooled:]],
-                        expected[order[:pooled]].sum())
-        stat = float(np.sum((obs - exp) ** 2 / exp))
-        assert len(exp) >= 2
-        assert _chi2_sf(stat, len(exp) - 1) > 1e-5, (stat, len(exp))
+        assert _pooled_chi2_sf(observed, draws * pmf) > 1e-5
+
+    # one, two, four and eight words of Y bits; the lattice pmf test above
+    # stops at n = 20, since at n >= 64 thousands of its atoms expect far
+    # fewer than one draw and its statistic is no longer chi-square
+    @pytest.mark.parametrize("n", [64, 65, 200, 512])
+    def test_squarev_sign_counts_are_binomial(self, n):
+        # u ~ Bin(a, 1/2) and v ~ Bin(n - a, 1/2) independently given a, so
+        # u + v ~ Bin(n, 1/2) whatever a is; the a values put the mask's
+        # edge at a word's start, inside it and at its end
+        rows = 50_000
+        a_values = sorted({k for k in (0, 1, 63, 64, 65, n // 2, n - 1, n)
+                           if k <= n})
+        rng = np.random.Generator(np.random.Philox(key=53))
+        u, v = mo._squarev_sign_counts(n, np.repeat(a_values, rows), rng)
+        for i, a in enumerate(a_values):
+            block = slice(i * rows, (i + 1) * rows)
+            for count, m in ((u[block], a), (v[block], n - a),
+                             (u[block] + v[block], n)):
+                observed = np.bincount(count, minlength=m + 1)
+                assert len(observed) == m + 1, (a, m)  # no count above m
+                if m == 0:
+                    continue
+                pmf = np.array([math.comb(m, k) / 2.0 ** m
+                                for k in range(m + 1)])
+                assert _pooled_chi2_sf(observed, rows * pmf) > 1e-5, (a, m)
 
     @pytest.mark.parametrize("n", [3, 5, 20])
     @pytest.mark.parametrize("rho", [-0.5, 0.5, 0.9])
