@@ -20,6 +20,7 @@ from .models import (
     dominance_range,
     fisher_dominance_threshold,
     get_model,
+    power_transform,
     psi_closed,
     squarev_exact_rejection,
     transform_for,
@@ -36,9 +37,7 @@ from .pearson import (
     Transform,
     assemble_statistic_model,
     delta_psi,
-    fisher_transform,
     h_z,
-    identity_transform,
     optimal_transform_numeric,
     sigma_rho,
     skew_lambda,

@@ -140,10 +140,22 @@ def _finite_z(z: float) -> float:
     return z
 
 
+def _exponent(model, kind: str, z_ref, flag: str) -> float:
+    """The kind's exponent; a z_ref it refuses is named as its flag."""
+    try:
+        return mo.transform_exponent(model, kind, z_ref)
+    except ValueError:
+        if z_ref is None:
+            raise ValueError(f"--transform {kind} requires {flag}") from None
+        raise ValueError(f"{flag} must give a finite optimal exponent, "
+                         f"got {z_ref}") from None
+
+
 def _cmd_transform(args, digits: int) -> None:
     model = mo.get_model(args.model)
     z = _finite_z(args.z) if args.z is not None else _z_alpha(args.alpha)
-    t = mo.optimal_transform_closed(model, z)
+    # every level in (0, 0.5) has a finite exponent: only --z can fail
+    t = mo.power_transform(_exponent(model, "optimal", z, "--z"))
     psi, dpsi = t.psi(args.rho), t.dpsi(args.rho)
     print(f"psi({_fmt(args.rho, digits)}) = {_fmt(psi, digits)}")
     print(f"psi'({_fmt(args.rho, digits)}) = {_fmt(dpsi, digits)}")
@@ -151,12 +163,10 @@ def _cmd_transform(args, digits: int) -> None:
 
 def _cmd_delta(args, digits: int) -> None:
     model = mo.get_model(args.model)
-    z_ref = args.z_ref
-    if args.transform == "optimal" and z_ref is None:
-        raise ValueError("delta --transform optimal requires --z-ref")
+    p = _exponent(model, args.transform, args.z_ref, "--z-ref")
     closed = mo.delta_closed(model, args.transform, _finite_z(args.z),
-                             args.rho, z_ref)
-    t = mo.transform_for(model, args.transform, z_ref)
+                             args.rho, args.z_ref)
+    t = mo.power_transform(p)
     generic = pe.delta_psi(model.moments, t, args.rho, args.z)
     print(f"closed-form:      {_fmt(closed, digits)}")
     print(f"generic pipeline: {_fmt(generic, digits)}")

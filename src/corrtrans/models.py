@@ -28,8 +28,6 @@ import numpy as np
 from .pearson import (
     Moments,
     Transform,
-    fisher_transform,
-    identity_transform,
     is_integer,
     r_from_sums,
     rejection_rule,
@@ -55,8 +53,9 @@ __all__ = [
     "squarev_moments",
     "TRANSFORM_KINDS",
     "optimal_exponent",
+    "transform_exponent",
+    "power_transform",
     "psi_closed",
-    "optimal_transform_closed",
     "transform_for",
     "delta_closed",
     "dominance_range",
@@ -173,11 +172,11 @@ def _squarev_sample_r(rho: float, rows: int, n: int,
 class DependenceModel:
     """A correlation-parametrized model: moments, draws of R, closed forms.
 
-    The closed forms rest on three numbers per model.  The leading error
-    term of R is Delta_R(z) = phi(z) g(rho) (z^2 + B), with g = odd_factor
-    and B = delta_const.  A transform psi subtracts
-    (psi''/psi')(rho) sigma(rho) z^2 phi(z) / 2; for Fisher's transform that
-    is k g(rho) z^2 phi(z), with k = fisher_slope.
+    The closed forms rest on three numbers per model, g = odd_factor,
+    B = delta_const and k = fisher_slope: R's leading error term is
+    Delta_R(z) = phi(z) g(rho) (z^2 + B), and psi' = (1 - rho^2)^p (R at
+    p = 0, Fisher's at p = -1) leaves Delta_p(z) = phi(z) g(rho) k z^2
+    (p - p_z), zero at the optimal exponent p_z = -(1 + B/z^2)/k.
     """
 
     name: str
@@ -240,70 +239,84 @@ def optimal_exponent(model: DependenceModel, z: float) -> float:
     """Exponent p of the optimal transform's psi' = (1 - rho^2)^p at z.
 
     p = -(1 + B/z^2)/k, computed as 1/(c z^2) - 1/k with c = -k/B so that it
-    rounds like the paper's p_z = 1/(2z^2) - 1 and q_z = 1/(3z^2) - 1/3.
+    rounds like the paper's p_z = 1/(2z^2) - 1 and q_z = 1/(3z^2) - 1/3;
+    refused where it is not finite (z = 0, NaN, or 1/(c z^2) overflowing).
     """
-    if z == 0.0 or math.isnan(z):
-        raise ValueError("optimal exponent requires z other than 0 or "
-                         f"NaN, got {z}")
     k = model.fisher_slope
-    return 1.0 / (-k / model.delta_const * z * z) - 1.0 / k
+    cz2 = -k / model.delta_const * z * z
+    p = 1.0 / cz2 - 1.0 / k if cz2 > 0.0 else math.inf
+    if math.isinf(p):
+        raise ValueError(f"optimal exponent is not finite at z_ref={z}")
+    return p
 
 
-def psi_closed(model: DependenceModel, z: float, rho: float) -> float:
-    """Closed-form optimal transform rho * 2F1(1/2, -p; 3/2; rho^2).
+def transform_exponent(model: DependenceModel, kind: str,
+                       z_ref: float | None = None) -> float:
+    """Exponent p of psi' = (1 - rho^2)^p of the transform named by kind:
+    0 for "identity" (R itself), -1 for "fisher" (atanh), and the model's
+    optimal exponent at z_ref for "optimal"."""
+    if kind == "identity":
+        return 0.0
+    if kind == "fisher":
+        return -1.0
+    if kind == "optimal":
+        if z_ref is None:
+            raise ValueError("optimal transform requires z_ref")
+        return optimal_exponent(model, z_ref)
+    raise ValueError(f"unknown transform kind {kind!r}")
 
-    p is the model's exponent at z.  Endpoints |rho| = 1 take the finite
-    gamma-ratio value (BVN exponents stay above -1 for all z != 0).
-    """
-    p = optimal_exponent(model, z)
+
+def _psi(p: float, rho: float) -> float:
+    """psi(rho) = integral of (1 - r^2)^p over [0, rho], for p >= -1."""
     if not abs(rho) <= 1.0:
-        raise ValueError(f"psi_closed requires |rho| <= 1, got rho={rho}")
+        raise ValueError(f"psi requires |rho| <= 1, got rho={rho}")
+    if p == 0.0:  # gamma_ratio_endpoint(0) is 1 + 2^-52
+        return rho
     if abs(rho) == 1.0:
-        return math.copysign(gamma_ratio_endpoint(p), rho)
+        end = math.inf if p == -1.0 else gamma_ratio_endpoint(p)
+        return math.copysign(end, rho)
+    if p == -1.0:
+        return math.atanh(rho)
     return rho * gauss_2f1_half(p, rho * rho)
 
 
-def optimal_transform_closed(model: DependenceModel, z: float) -> Transform:
-    """Closed-form optimal Transform for the given critical value z."""
-    p = optimal_exponent(model, z)
-
-    def psi(r: float) -> float:
-        return psi_closed(model, z, r)
+def power_transform(p: float) -> Transform:
+    """The transform with psi' = (1 - r^2)^p and psi(0) = 0, for p >= -1:
+    R itself at p = 0, Fisher's atanh at p = -1, and otherwise
+    r * 2F1(1/2, -p; 3/2; r^2), the finite gamma-ratio value at |r| = 1."""
+    if not -1.0 <= p < math.inf:
+        raise ValueError(f"power_transform requires -1 <= p < inf, got {p}")
 
     def dpsi(r: float) -> float:
-        return (1.0 - r * r) ** p
+        # 1/(1 - r^2) is not (1 - r^2)**-1.0 in the last bit at every r
+        return 1.0 / (1.0 - r * r) if p == -1.0 else (1.0 - r * r) ** p
 
-    def dlog_dpsi(r: float) -> float:
-        return -2.0 * p * r / (1.0 - r * r)
+    return Transform(lambda r: _psi(p, r), dpsi,
+                     lambda r: -2.0 * p * r / (1.0 - r * r))
 
-    return Transform(psi, dpsi, dlog_dpsi)
+
+def psi_closed(model: DependenceModel, z: float, rho: float) -> float:
+    """Closed-form optimal transform rho * 2F1(1/2, -p; 3/2; rho^2), p the
+    model's exponent at z: above -1 for every z but BVN's from z = 1e8 on,
+    where it rounds to -1 and psi is atanh.  |rho| = 1 takes the finite
+    gamma-ratio value of p > -1."""
+    return _psi(optimal_exponent(model, z), rho)
 
 
 def transform_for(model: DependenceModel, kind: str,
                   z_ref: float | None = None) -> Transform:
     """Build the Transform named by kind ("identity", "fisher", "optimal")."""
-    if kind == "identity":
-        return identity_transform()
-    if kind == "fisher":
-        return fisher_transform()
-    if kind == "optimal":
-        if z_ref is None:
-            raise ValueError("optimal transform requires z_ref")
-        return optimal_transform_closed(model, z_ref)
-    raise ValueError(f"unknown transform kind {kind!r}")
+    return power_transform(transform_exponent(model, kind, z_ref))
 
 
-def _delta_shape(model: DependenceModel, kind: str, t, t_ref):
-    """Delta_psi / (phi(z) g(rho)) as a function of t = z^2 (a float or an
-    array); t_ref = z_ref^2 for the optimal transform."""
-    if kind == "identity":
-        return t + model.delta_const
-    if kind == "fisher":
-        return (1.0 - model.fisher_slope) * t + model.delta_const
-    if kind == "optimal":
-        # -B (t/t_ref - 1) is exactly 0.0 at t = t_ref
-        return -model.delta_const * (t / t_ref - 1.0)
-    raise ValueError(f"unsupported transform kind {kind!r}")
+def _delta_shape(model: DependenceModel, p: float, z: float) -> float:
+    """Delta_p(z) / (phi(z) g(rho)) of the exponent-p transform: k z^2
+    (p - p_z) = (1 + k p) z^2 + B, exactly 0.0 where p = p_z, and B where
+    z^2 is too small for p_z to be finite."""
+    try:
+        return model.fisher_slope * z * z * (p - optimal_exponent(model, z))
+    except ValueError:
+        return model.delta_const
 
 
 def delta_closed(model: DependenceModel, kind: str, z: float, rho: float,
@@ -311,13 +324,7 @@ def delta_closed(model: DependenceModel, kind: str, z: float, rho: float,
     """Closed-form leading error term Delta_psi(z), phi(z) factor included."""
     if not -1.0 < rho < 1.0:
         raise ValueError(f"delta_closed requires -1 < rho < 1, got {rho}")
-    t_ref = None
-    if kind == "optimal":
-        if z_ref is None or not z_ref * z_ref > 0.0:  # 0, NaN or underflow
-            raise ValueError("delta_closed(optimal) requires z_ref other "
-                             f"than 0 or NaN, got z_ref={z_ref}")
-        t_ref = z_ref * z_ref
-    shape = _delta_shape(model, kind, z * z, t_ref)
+    shape = _delta_shape(model, transform_exponent(model, kind, z_ref), z)
     phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
     return model.odd_factor(rho) * shape * phi if phi > 0.0 else 0.0
 
@@ -328,21 +335,21 @@ def dominance_range(model: DependenceModel, alpha: float,
     competitor ("identity" or "fisher") in |Delta(z_beta)|; rho-independent.
 
     In t = z_beta^2, with B < 0 (both models), the optimal shape is
-    |B| (t/t_alpha - 1) and the competitor's is c t - |B| (c = 1 for
-    identity, 1 - k for Fisher).  Their absolute values are equal only at
-    t = 0 and at t_x = 2|B| / (c + |B|/t_alpha), or t_x = inf when that
-    denominator is not positive, so the optimal transform wins on the side
-    of t_x that holds t_alpha.
+    |B| (t/t_alpha - 1) and the competitor's, of exponent p, is c t - |B|
+    with c = 1 + k p.  Their absolute values are equal only at t = 0 and at
+    t_x = 2|B| / (c + |B|/t_alpha), or t_x = inf when that denominator is
+    not positive, so the optimal transform wins on the side of t_x that
+    holds t_alpha.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must lie in (0, 0.5)")
-    if competitor not in ("identity", "fisher"):
-        raise ValueError("competitor must be identity or fisher")
-    t_alpha = normal_quantile(1.0 - alpha) ** 2
-    if _delta_shape(model, competitor, t_alpha, None) == 0.0:
+    z_alpha = normal_quantile(1.0 - alpha)
+    p = transform_exponent(model, competitor, z_alpha)
+    if _delta_shape(model, p, z_alpha) == 0.0:
         raise ValueError(f"{competitor} is itself optimal at alpha={alpha}")
+    t_alpha = z_alpha ** 2
     b = -model.delta_const
-    c = _delta_shape(model, competitor, 1.0, None) + b  # shape is c t - |B|
+    c = 1.0 + model.fisher_slope * p
     denom = c + b / t_alpha
     t_x = 2.0 * b / denom if denom > 0.0 else math.inf
     # map t = z_beta^2 back to beta = 1 - Phi(sqrt(t)) = Phi(-sqrt(t)), which

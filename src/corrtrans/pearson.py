@@ -25,8 +25,6 @@ __all__ = [
     "Transform",
     "DegenerateModelError",
     "is_integer",
-    "identity_transform",
-    "fisher_transform",
     "r_from_sums",
     "sigma_rho",
     "skew_lambda",
@@ -66,22 +64,6 @@ class Transform:
     psi: Callable[[float], float]
     dpsi: Callable[[float], float]
     dlog_dpsi: Callable[[float], float]
-
-
-def identity_transform() -> Transform:
-    return Transform(lambda r: r, lambda r: 1.0, lambda r: 0.0)
-
-
-def fisher_transform() -> Transform:
-    def psi(r: float) -> float:
-        if r >= 1.0:
-            return math.inf
-        if r <= -1.0:
-            return -math.inf
-        return math.atanh(r)
-
-    return Transform(psi, lambda r: 1.0 / (1.0 - r * r),
-                     lambda r: 2.0 * r / (1.0 - r * r))
 
 
 def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:

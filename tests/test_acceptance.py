@@ -80,7 +80,7 @@ def test_criterion_04_leading_term_vanishes_at_design_level():
     worst = 0.0
     for model in MODELS:
         for z in Z_GRID:
-            t = mo.optimal_transform_closed(model, z)
+            t = mo.transform_for(model, "optimal", z)
             for rho in RHO_GRID:
                 worst = max(worst, abs(pe.delta_psi(model.moments, t, rho, z)))
     _report(4, "optimal transform kills the leading error term at its own "
@@ -106,18 +106,54 @@ def test_criterion_05_dominance_endpoints():
             f"worst endpoint diff = {worst:.1e}, threshold = {threshold:.5f}")
 
 
+def _identity_level_z(model):
+    # the z at which the model's optimal exponent reaches R's, p = 0: p_z
+    # falls with z, so bisect on its sign until the bracket ends are
+    # neighbouring floats, and keep the end closer to 0
+    lo, hi = 0.1, 10.0
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        p = mo.optimal_exponent(model, mid)
+        if p == 0.0:
+            return mid
+        lo, hi = (mid, hi) if p > 0.0 else (lo, mid)
+    return min(lo, hi, key=lambda z: abs(mo.optimal_exponent(model, z)))
+
+
 def test_criterion_06_special_constants():
     c1 = 1.0 - normal_cdf(1.0 / math.sqrt(2.0))
     c2 = 1.0 - normal_cdf(1.0)
     ok = abs(c1 - 0.2397) <= 1e-4 and abs(c2 - 0.1587) <= 1e-4
+    # the same levels as model outputs: where R itself is optimal, and its
+    # Delta vanishes.  SquareV's p_z is exactly 0.0 at z = 1; no float z
+    # gives BVN's 0.0, whose p_z is -2.2e-16 at z = sqrt(1/2) and +2.2e-16
+    # one float below.
+    levels = {}
+    for model, want in ((mo.BVN, 0.2397), (mo.SQUAREV, 0.1587)):
+        z = _identity_level_z(model)
+        levels[model.name] = 1.0 - normal_cdf(z)
+        ok = ok and abs(levels[model.name] - want) <= 1e-4
+        p = mo.optimal_exponent(model, z)
+        ok = ok and abs(p) <= 2.3e-16
+        ok = ok and (p == 0.0) == (model is mo.SQUAREV)
+        for rho in np.linspace(-0.9, 0.9, 19):
+            d = mo.delta_closed(model, "identity", z, rho)
+            ok = ok and (d == 0.0 if p == 0.0 else abs(d) <= 1e-16)
+    # BVN's p_z = 1/(2 z^2) - 1 is Fisher's -1.0 exactly from z = 1e8 on
+    for z in np.geomspace(1e8, 1e300, 50).tolist():
+        ok = ok and mo.optimal_exponent(mo.BVN, z) == -1.0
+        ok = ok and mo.psi_closed(mo.BVN, z, 0.5) == math.atanh(0.5)
+    ok = ok and mo.optimal_exponent(mo.BVN, 1e7) > -1.0
     worst = 0.0
     for rho in np.linspace(-0.9, 0.9, 19):
         worst = max(worst, abs(mo.psi_closed(mo.BVN, 100.0, rho)
                                - math.atanh(rho)))
     ok = ok and worst <= 5e-4
-    _report(6, "tail constants at z = 1/sqrt(2) and z = 1, and the "
-            "large-z Fisher limit", ok,
-            f"1-Phi(1/sqrt2) = {c1:.5f}, worst Fisher gap = {worst:.1e}")
+    _report(6, "tail constants at z = 1/sqrt(2) and z = 1, the levels "
+            "where each model's optimal exponent is R's, and the large-z "
+            "Fisher limit", ok,
+            f"1-Phi(1/sqrt2) = {c1:.5f}, levels {levels['bvn']:.5f} "
+            f"{levels['squarev']:.5f}, worst Fisher gap = {worst:.1e}")
 
 
 def test_criterion_07_exact_oracle_reproduces_table():

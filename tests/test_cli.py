@@ -44,6 +44,14 @@ class TestTransformCommand:
             0.3, abs=1e-6)
 
 
+    def test_exponent_minus_one_is_fisher(self, capsys):
+        # BVN's p_z = 1/(2 z^2) - 1 rounds to -1 from z = 1e8 on: atanh
+        code, out, _ = run(capsys, "transform", "--model", "bvn",
+                           "--z", "1e200", "--rho", "0.5")
+        assert code == 0
+        assert out.splitlines() == ["psi(0.5) = 0.549306",
+                                    "psi'(0.5) = 1.33333"]
+
     def test_steep_exponent_stays_in_range(self, capsys):
         # exponent 132: psi(0.9) lies in (0, psi(1)], psi(1) = 0.0769
         code, out, _ = run(capsys, "transform", "--model", "squarev",
@@ -470,7 +478,7 @@ _OUTSIDE_THE_DOMAIN = [
     (("transform", "--model", "bvn", "--alpha", "0.05", "--rho", "nan"),
      "rho=nan"),
     (("delta", "--model", "bvn", "--transform", "optimal", "--rho", "0.5",
-      "--z", "1", "--z-ref", "0"), "z_ref=0.0"),
+      "--z", "1", "--z-ref", "0"), "--z-ref"),
     (("ranges", "--model", "bvn", "--alpha", "0.7", "--vs", "identity"),
      "alpha"),
     (("exact", "--rho", "0.5", "--n", "10001", "--alpha", "0.05",
@@ -507,6 +515,26 @@ _FLAG_OUTSIDE_ITS_DOMAIN = {
     "transform-z-inf": (
         ("transform", "--model", "bvn", "--z", "inf", "--rho", "0.5"),
         "error: --z must be finite, got inf"),
+    # z^2 underflows to 0, so 1/(2 z^2) divides by zero
+    "transform-z-square-zero": (
+        ("transform", "--model", "bvn", "--z", "1e-162", "--rho", "0.5"),
+        "error: --z must give a finite optimal exponent, got 1e-162"),
+    # z^2 is subnormal and 1/(2 z^2) overflows to an infinite exponent
+    "transform-z-exponent-inf": (
+        ("transform", "--model", "bvn", "--z", "1e-155", "--rho", "0.5"),
+        "error: --z must give a finite optimal exponent, got 1e-155"),
+    "delta-z-ref-exponent-inf": (
+        ("delta", "--model", "bvn", "--transform", "optimal", "--rho",
+         "0.5", "--z", "1", "--z-ref", "1e-155"),
+        "error: --z-ref must give a finite optimal exponent, got 1e-155"),
+    "delta-z-ref-square-zero": (
+        ("delta", "--model", "bvn", "--transform", "optimal", "--rho",
+         "0.5", "--z", "1", "--z-ref", "1e-200"),
+        "error: --z-ref must give a finite optimal exponent, got 1e-200"),
+    "delta-z-ref-missing": (
+        ("delta", "--model", "squarev", "--transform", "optimal", "--rho",
+         "0.5", "--z", "1"),
+        "error: --transform optimal requires --z-ref"),
 }
 
 # one per command where a numeric failure is reachable

@@ -264,11 +264,65 @@ class TestPsiClosed:
 
 class TestFisher:
     def test_values(self):
-        fisher = pe.fisher_transform().psi
+        fisher = mo.power_transform(-1.0).psi
         assert fisher(0.0) == 0.0
         assert fisher(0.5) == pytest.approx(0.549306, abs=1e-6)
         assert fisher(1.0) == math.inf
         assert fisher(-1.0) == -math.inf
+
+
+# [-1, 1] with its ends, the floats next to them, and +-1e-300 and +-0; at
+# 20 of its points, -0.8631 among them, (1 - r^2)**-1.0 is not 1/(1 - r^2)
+_MEMBER_GRID = sorted({*np.linspace(-1.0, 1.0, 20001).tolist(), 1e-300,
+                       -1e-300, 0.0, math.nextafter(1.0, 0.0),
+                       math.nextafter(-1.0, 0.0)})
+
+
+class TestPowerTransform:
+    def test_identity_is_r_bit_for_bit(self):
+        t = mo.power_transform(0.0)
+        for r in _MEMBER_GRID + [-0.0]:
+            assert t.psi(r).hex() == r.hex(), r
+            assert t.dpsi(r) == 1.0, r
+
+    def test_fisher_is_atanh_bit_for_bit(self):
+        t = mo.power_transform(-1.0)
+        assert t.psi(1.0) == math.inf and t.psi(-1.0) == -math.inf
+        for r in _MEMBER_GRID[1:-1]:
+            assert t.psi(r).hex() == math.atanh(r).hex(), r
+            assert t.dpsi(r).hex() == (1.0 / (1.0 - r * r)).hex(), r
+
+    def test_kinds_are_exponents(self):
+        for model in (mo.BVN, mo.SQUAREV):
+            assert mo.transform_exponent(model, "identity", Z05) == 0.0
+            assert mo.transform_exponent(model, "fisher") == -1.0
+            assert (mo.transform_exponent(model, "optimal", Z05)
+                    == mo.optimal_exponent(model, Z05))
+
+    @pytest.mark.parametrize("kind, z_ref", [("optimal", None),
+                                             ("probit", Z05)])
+    def test_rejects_a_kind_without_an_exponent(self, kind, z_ref):
+        with pytest.raises(ValueError):
+            mo.transform_exponent(mo.BVN, kind, z_ref)
+
+    @pytest.mark.parametrize("p", [-1.5, math.inf, math.nan])
+    def test_rejects_exponent_outside_the_family(self, p):
+        with pytest.raises(ValueError, match="power_transform"):
+            mo.power_transform(p)
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("p", [-1.0, -0.9, -0.5, 0.0, 0.5, 3.0, 50.0])
+    def test_delta_across_the_family(self, model, p):
+        # Delta_p(z) = phi(z) g(rho) k z^2 (p - p_z), against the generic
+        # pipeline, which knows the transform only through psi''/psi'
+        t = mo.power_transform(p)
+        for rho in (-0.9, -0.5, 0.1, 0.5, 0.9):
+            for z in (0.7, 1.0, Z05, Z01):
+                closed = (normal_pdf(z) * model.odd_factor(rho)
+                          * model.fisher_slope * z * z
+                          * (p - mo.optimal_exponent(model, z)))
+                generic = pe.delta_psi(model.moments, t, rho, z)
+                assert closed == pytest.approx(generic, abs=1e-8), (rho, z)
 
 
 class TestOptimalExponent:
@@ -284,6 +338,20 @@ class TestOptimalExponent:
         for z in (0.0, math.nan):
             with pytest.raises(ValueError):
                 mo.optimal_exponent(mo.SQUAREV, z)
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("z", [1e-162, -1e-162, 1e-155, 1e-200])
+    def test_rejects_z_without_a_finite_exponent(self, model, z):
+        # z^2 underflows to 0, or 1/(c z^2) overflows
+        with pytest.raises(ValueError, match="not finite"):
+            mo.optimal_exponent(model, z)
+        with pytest.raises(ValueError):
+            mo.psi_closed(model, z, 0.5)
+
+    def test_accepts_every_z_with_a_finite_exponent(self):
+        for model in (mo.BVN, mo.SQUAREV):
+            for z in (1e-150, 1e8, 1e200, math.inf):
+                assert math.isfinite(mo.optimal_exponent(model, z))
 
 
 class TestDeltaClosed:
@@ -387,13 +455,13 @@ class TestDominanceRange:
         # _dominance_range_grid
         def gap(beta):
             t = normal_quantile(beta) ** 2
-            return (abs(mo._delta_shape(model, "optimal", t, t_alpha))
-                    - abs(mo._delta_shape(model, competitor, t, t_alpha)))
+            return (abs(_delta_shape(model, "optimal", t, t_alpha))
+                    - abs(_delta_shape(model, competitor, t, t_alpha)))
 
         for alpha in np.concatenate([np.geomspace(1e-6, 0.2, 40),
                                      np.linspace(0.2, 0.49, 30)]):
             t_alpha = normal_quantile(1.0 - alpha) ** 2
-            if mo._delta_shape(model, competitor, t_alpha, None) == 0.0:
+            if _delta_shape(model, competitor, t_alpha, None) == 0.0:
                 continue
             iv = mo.dominance_range(model, alpha, competitor)
             assert gap(0.5 * (iv.lo + iv.hi)) < 0.0, alpha
@@ -403,13 +471,24 @@ class TestDominanceRange:
                         (alpha, end)
 
 
+def _delta_shape(model, kind, t, t_ref):
+    # Delta / (phi(z) g(rho)) in t = z^2, written per kind as the paper does:
+    # the reference the dominance searches hold dominance_range to; t_ref =
+    # z_ref^2 of the optimal transform
+    if kind == "identity":
+        return t + model.delta_const
+    if kind == "fisher":
+        return (1.0 - model.fisher_slope) * t + model.delta_const
+    return -model.delta_const * (t / t_ref - 1.0)
+
+
 def _dominance_range_grid(model, alpha, competitor):
     # sign changes of the gap on a 20,001-point grid in t, then bisection
     t_alpha = normal_quantile(1.0 - alpha) ** 2
 
     def gap(t):
-        return (abs(mo._delta_shape(model, "optimal", t, t_alpha))
-                - abs(mo._delta_shape(model, competitor, t, t_alpha)))
+        return (abs(_delta_shape(model, "optimal", t, t_alpha))
+                - abs(_delta_shape(model, competitor, t, t_alpha)))
 
     t_lo_cap, t_hi_cap = 1e-8, 50.0
     grid = np.linspace(t_lo_cap, t_hi_cap, 20_001)
@@ -453,8 +532,8 @@ def _fisher_dominance_threshold_numeric(model):
         T = 10.0 * max(t_alpha, 1.0)
 
         def gap(t):
-            return (abs(mo._delta_shape(model, "optimal", t, t_alpha))
-                    - abs(mo._delta_shape(model, "fisher", t, t_alpha)))
+            return (abs(_delta_shape(model, "optimal", t, t_alpha))
+                    - abs(_delta_shape(model, "fisher", t, t_alpha)))
 
         if any(gap(t) >= 0.0 for t in np.linspace(1e-8, T, 2001)[1:]):
             return False
@@ -779,34 +858,34 @@ class TestSquarevRowPremise:
 
 class TestSquarevExactRejection:
     def test_n1_degenerate(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         assert mo.squarev_exact_rejection(0.5, 1, t, 0.05) == 0.0
 
     def test_table_row_small_n(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         p = mo.squarev_exact_rejection(0.5, 10, t, 0.05)
         eps = p / 0.05 - 1
         assert abs(eps - 0.125) < 5 * 0.00110
 
     def test_table_row_never_rejects(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         assert mo.squarev_exact_rejection(0.9, 10, t, 0.05) == 0.0
 
     def test_probabilities_sum_to_one(self):
         # alpha so large that z_alpha < all attainable tau except ties
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         p = mo.squarev_exact_rejection(0.3, 5, t, 0.49)
         assert 0.0 <= p <= 1.0
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
-            mo.squarev_exact_rejection(0.5, 10_001, pe.identity_transform(),
+            mo.squarev_exact_rejection(0.5, 10_001, mo.power_transform(0.0),
                                        0.05)
 
     def test_rejects_rho_at_the_boundary(self):
         for rho in (-1.0, 1.0):
             with pytest.raises(ValueError, match=f"rho={rho}"):
-                mo.squarev_exact_rejection(rho, 10, pe.identity_transform(),
+                mo.squarev_exact_rejection(rho, 10, mo.power_transform(0.0),
                                            0.05)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -871,7 +950,7 @@ class TestSquarevExactRejection:
         assert peak < 16 * 2 ** 20
 
     def test_refuses_a_non_integer_n(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         for n in (10.0, 10.5, True, "10"):
             with pytest.raises(ValueError, match="integer"):
                 mo.squarev_exact_rejection(0.5, n, t, 0.05)

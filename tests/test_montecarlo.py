@@ -78,7 +78,7 @@ class TestRejectionThreshold:
                 assert pe.tau(t, cut - dr, 0.5, sigma, 100) < z
 
     def test_unattainable(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         # rho = 0.9, n = 2: cut beyond psi(1) = 1
         sigma = mo.BVN.sigma(0.9)
         cut = pe.rejection_threshold(t, 0.9, sigma, 2, 0.05)
@@ -122,7 +122,7 @@ class TestAggregate:
 class TestRunCell:
     def test_squarev_matches_exact_oracle(self):
         alpha, rho, n, N = 0.05, 0.5, 10, 200_000
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         exact = mo.squarev_exact_rejection(rho, n, t, alpha)
         rng = mc.substream(123, 0, 0)
         hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N, rng)
@@ -135,7 +135,7 @@ class TestRunCell:
         # atom, 4% of the mass, on the Fisher threshold: Monte Carlo must
         # decide it as the oracle does
         n, rho, N = 5, 0.0, 400_000
-        t = pe.fisher_transform()
+        t = mo.power_transform(-1.0)
         r0 = float(mo._squarev_r(n, 2, 1, 0))
         alpha = 1.0 - normal_cdf(pe.tau(t, r0, rho, 1.0, n))
         exact = mo.squarev_exact_rejection(rho, n, t, alpha)
@@ -148,7 +148,7 @@ class TestRunCell:
         # and SQUAREV.sigma differ in the last bit: the oracle must take the
         # sigma Monte Carlo takes (with the former it read 0.00355, +807 sd)
         n, rho, N = 5, -0.9, 400_000
-        t = pe.fisher_transform()
+        t = mo.power_transform(-1.0)
         alpha = 1.0 - normal_cdf(pe.tau(t, 0.0, rho, mo.SQUAREV.sigma(rho), n))
         exact = mo.squarev_exact_rejection(rho, n, t, alpha)
         hat = mc.run_cell(mo.SQUAREV, t, alpha, rho, n, N,
@@ -156,7 +156,7 @@ class TestRunCell:
         assert abs(hat - exact) <= 5 * math.sqrt(exact * (1 - exact) / N)
 
     def test_squarev_never_rejects_cell(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         rng = mc.substream(123, 1, 0)
         hat = mc.run_cell(mo.SQUAREV, t, 0.05, 0.9, 10, 50_000, rng)
         assert hat == 0.0
@@ -165,7 +165,7 @@ class TestRunCell:
         # rho = 0: the leading error term vanishes, so the rejection rate
         # should sit near alpha already at moderate n
         alpha, n, N = 0.05, 1000, 40_000
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         rng = mc.substream(7, 0, 0)
         hat = mc.run_cell(mo.BVN, t, alpha, 0.0, n, N, rng)
         se = math.sqrt(alpha * (1 - alpha) / N)
@@ -181,11 +181,11 @@ class TestRunCell:
         z = normal_quantile(1.0 - alpha)
         hats = [mc.run_cell(mo.BVN, t, alpha, rho, n, N, mc.substream(9, 0, 0))
                 for t in (pe.optimal_transform_numeric(mo.BVN.moments, z),
-                          mo.optimal_transform_closed(mo.BVN, z))]
+                          mo.transform_for(mo.BVN, "optimal", z))]
         assert hats[0] == hats[1]
 
     def test_refuses_non_integer_sizes(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         for n, N in ((10.5, 100), (10.0, 100), (True, 100), (10, 2.5),
                      (10, True)):
             with pytest.raises(ValueError, match="integers"):

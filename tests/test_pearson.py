@@ -187,7 +187,7 @@ class TestOptimalTransformNumeric:
         for model in (mo.BVN, mo.SQUAREV):
             m = model.moments
             for t in (pe.optimal_transform_numeric(m, Z05),
-                      mo.optimal_transform_closed(model, Z05)):
+                      mo.transform_for(model, "optimal", Z05)):
                 for rho in np.linspace(-0.95, 0.95, 11):
                     resid = t.dlog_dpsi(rho) - pe.h_z(m, rho, Z05)
                     assert abs(resid) < 1e-8
@@ -210,7 +210,7 @@ class TestOptimalTransformNumeric:
 
 class TestDeltaPsi:
     def test_identity_is_delta_r(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         for rho in (0.1, 0.5, -0.9):
             s = pe.sigma_rho(mo.BVN.moments, rho)
             expected = (normal_pdf(1.2)
@@ -220,7 +220,7 @@ class TestDeltaPsi:
                 pytest.approx(expected, abs=1e-14)
 
     def test_bvn_fisher_closed_form(self):
-        t = pe.fisher_transform()
+        t = mo.power_transform(-1.0)
         for rho in (-0.9, 0.1, 0.5):
             for z in (0.7, Z05):
                 assert pe.delta_psi(mo.BVN.moments, t, rho, z) == \
@@ -271,7 +271,7 @@ MOMENT_READERS = {
     "skew_lambda": lambda m: pe.skew_lambda(m, 0.4),
     "delta_r_tilde": lambda m: pe.delta_r_tilde(m, 0.4, Z05),
     "h_z": lambda m: pe.h_z(m, 0.4, Z05),
-    "delta_psi": lambda m: pe.delta_psi(m, pe.fisher_transform(), 0.4, Z05),
+    "delta_psi": lambda m: pe.delta_psi(m, mo.power_transform(-1.0), 0.4, Z05),
     "assemble_statistic_model":
         lambda m: pe.assemble_statistic_model(m, 0.4),
 }
@@ -355,32 +355,32 @@ class TestRejectionThreshold:
 
 class TestTau:
     def test_zero_at_truth(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         assert pe.tau(t, 0.5, 0.5, 1.0, 100) == 0.0
 
     def test_identity_form(self):
-        t = pe.identity_transform()
+        t = mo.power_transform(0.0)
         assert pe.tau(t, 0.6, 0.5, 0.75, 100) == pytest.approx(
             (0.6 - 0.5) * 10 / 0.75, abs=1e-14)
 
     def test_fisher_endpoint_always_rejects(self):
-        t = pe.fisher_transform()
+        t = mo.power_transform(-1.0)
         assert pe.tau(t, 1.0, 0.9, 0.3, 10) == math.inf
 
     def test_rejects_out_of_range_r(self):
         with pytest.raises(ValueError):
-            pe.tau(pe.identity_transform(), 1.5, 0.0, 1.0, 10)
+            pe.tau(mo.power_transform(0.0), 1.5, 0.0, 1.0, 10)
         # n < 1 too, by tau and by its inverse
         with pytest.raises(ValueError, match="n must be"):
-            pe.tau(pe.identity_transform(), 0.5, 0.0, 1.0, 0)
+            pe.tau(mo.power_transform(0.0), 0.5, 0.0, 1.0, 0)
         with pytest.raises(ValueError, match="n must be"):
-            pe.rejection_threshold(pe.identity_transform(), 0.0, 1.0, 0, 0.05)
+            pe.rejection_threshold(mo.power_transform(0.0), 0.0, 1.0, 0, 0.05)
 
     def test_rejects_non_positive_scale(self):
         # psi'(rho) sigma = 0: sigma = 0, or psi'(rho) underflows (the
         # SquareV optimal exponent is 530 at alpha = 0.49)
         steep = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.51))
-        for t, rho, sigma in ((pe.identity_transform(), 0.5, 0.0),
+        for t, rho, sigma in ((mo.power_transform(0.0), 0.5, 0.0),
                               (steep, 0.99, 0.14)):
             with pytest.raises(pe.DegenerateModelError):
                 pe.tau(t, 0.5, rho, sigma, 10)
