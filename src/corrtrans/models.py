@@ -242,6 +242,7 @@ def optimal_exponent(model: DependenceModel, z: float) -> float:
     rounds like the paper's p_z = 1/(2z^2) - 1 and q_z = 1/(3z^2) - 1/3;
     refused where it is not finite (z = 0, NaN, or 1/(c z^2) overflowing).
     """
+    z = float(z)  # a numpy float warns where z * z overflows
     k = model.fisher_slope
     cz2 = -k / model.delta_const * z * z
     p = 1.0 / cz2 - 1.0 / k if cz2 > 0.0 else math.inf
@@ -310,13 +311,15 @@ def transform_for(model: DependenceModel, kind: str,
 
 
 def _delta_shape(model: DependenceModel, p: float, z: float) -> float:
-    """Delta_p(z) / (phi(z) g(rho)) of the exponent-p transform: k z^2
-    (p - p_z) = (1 + k p) z^2 + B, exactly 0.0 where p = p_z, and B where
-    z^2 is too small for p_z to be finite."""
+    """Delta_p(z) / (phi(z) g(rho)) of the exponent-p transform: (1 + k p)
+    z^2 + B, which does not cancel where k z^2 (p - p_z) does (p and p_z
+    near -1/k); exactly 0.0 where p = p_z, and B where z^2 is too small."""
     try:
-        return model.fisher_slope * z * z * (p - optimal_exponent(model, z))
-    except ValueError:
-        return model.delta_const
+        if p == optimal_exponent(model, z):
+            return 0.0
+    except ValueError:  # no finite p_z, which p cannot equal
+        pass
+    return (1.0 + model.fisher_slope * p) * z * z + model.delta_const
 
 
 def delta_closed(model: DependenceModel, kind: str, z: float, rho: float,
@@ -378,6 +381,8 @@ def fisher_dominance_threshold(model: DependenceModel) -> float:
 # At most this many (a, u) rows, and level-table entries, per block of the
 # exact oracle: its memory is bounded by the block, whatever n is.
 _ROWS_PER_BLOCK = 1 << 16
+# D: each of the exact oracle's three windows leaves out at most this mass.
+_WINDOW_MASS = 1e-30
 
 
 def squarev_exact_rejection(rho: float, n: int, t: Transform,
@@ -404,6 +409,14 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     sums of the level weights of Bin(m, 1/2), from the tail for outer runs
     and from the centre for inner ones, so every sum has positive terms;
     the total is the sum of P(a) Bin(a, 1/2)(u) times that mass.
+
+    Only atoms inside three windows that Hoeffding's inequality fixes in
+    advance are weighed: with D = 1e-30 and l_a = ln(2 (n + 1) P(a) / D),
+    the a with P(a) > D/(n + 1), the u with |u - a/2| <= sqrt(a l_a / 2) and
+    the levels j >= m/2 - sqrt(m l_a / 2).  Each leaves out at most D, so
+    the result is low by at most 3e-30: within the tests' 1e-13 relative
+    tolerance for every result >= 3e-17, and far below the ~1e-11 to which
+    the log-factorial table rounds the weights at n = 10^4.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"exact enumeration requires -1 < rho < 1, "
@@ -433,35 +446,51 @@ def _pmf(lf: np.ndarray, m, k, log_p: float, log_q: float) -> np.ndarray:
 
 def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
                    rejects: Callable[[np.ndarray], np.ndarray],
-                   corner: bool) -> float:
+                   corner: bool, depth: float = -math.log(_WINDOW_MASS)
+                   ) -> float:
     """Sum of P(a) Bin(a, 1/2)(u) times the rejected Bin(m, 1/2) mass of the
-    row, over the rows (a, u) of the given a; corner is whether R = 0
-    rejects."""
+    row, over the rows (a, u) of the given a inside the oracle's windows
+    for D = exp(-depth) (depth = inf keeps every atom); corner is whether
+    R = 0 rejects."""
     half = math.log(0.5)
+    # l_a = ln(2 (n + 1) P(a) / D); from l_a = n on, the windows hold every
+    # u and level, and the cap keeps them finite at depth = inf
+    ell = np.minimum(np.log(2.0 * (n + 1) * p_a[a]) + depth, n)
+    kept = ell > math.log(2.0)  # P(a) > D/(n + 1)
+    a, ell = a[kept], ell[kept]
+    if not a.size:
+        return 0.0
     m = n - a
-    # level j of m holds v = j and v = m - j (one atom where j = m - j)
-    j = np.arange(m.max() // 2 + 1)
+
+    def lowest(k):  # lowest count of Bin(k, 1/2) kept, of a window about k/2
+        return np.ceil(np.clip(k / 2 - np.sqrt(k * ell / 2), 0, k)).astype(int)
+
+    u_lo, low = lowest(a), lowest(m)
+    # level j of m holds v = j and v = m - j (one atom where j = m - j); the
+    # table's column c is level j_0 + c, and weighs only the row's kept levels
+    j_0 = low.min()
+    j = np.arange(j_0, m.max() // 2 + 1)
     mm = m[:, None]
-    inside = 2 * j <= mm
+    inside = (2 * j <= mm) & (j >= low[:, None])
     jj = np.where(inside, j, 0)
     w = _pmf(lf, mm, jj, half, half)
     w += np.where(2 * jj < mm, _pmf(lf, mm, mm - jj, half, half), 0.0)
     w[~inside] = 0.0
-    # outer[:, k] sums the levels below k, centre[:, k] those from k on
+    # outer[:, c] sums the levels below j_0 + c, centre[:, c] those from it on
     outer = np.zeros((m.size, j.size + 1))
     np.cumsum(w, axis=1, out=outer[:, 1:])
     centre = np.zeros_like(outer)
     centre[:, :-1] = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
 
-    rows = a + 1
+    rows = a - 2 * u_lo + 1
     row = np.repeat(np.arange(a.size), rows)
-    u = np.arange(row.size) - np.repeat(np.cumsum(rows) - rows, rows)
+    u = np.arange(row.size) - np.repeat(np.cumsum(rows) - rows - u_lo, rows)
     q = p_a[a[row]] * _pmf(lf, a[row], u, half, half)
     keep = q > 0.0  # rows of zero weight add exactly nothing
     row, u, q = row[keep], u[keep], q[keep]
     ra, top = a[row], m[row] // 2
     edge = (u == 0) | (u == ra)  # level 0 of these rows is two corners
-    first = edge.astype(int)  # outermost non-degenerate level
+    first = np.maximum(edge, low[row])  # outermost kept non-degenerate level
     has = first <= top
     p_out = has & rejects(_squarev_r(n, ra, u, np.minimum(first, top)))
     p_in = has & rejects(_squarev_r(n, ra, u, top))
@@ -478,8 +507,9 @@ def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
         hit = rejects(_squarev_r(n, ra[todo], u[todo], mid)) == p_in[todo]
         lo, hi = np.where(hit, lo, mid), np.where(hit, mid, hi)
 
+    cut, first = cut - j_0, first - j_0  # columns of the level table
     mass = (np.where(p_out, outer[row, cut] - outer[row, first], 0.0)
             + np.where(p_in, centre[row, cut], 0.0))
-    if corner:
+    if corner and j_0 == 0:  # level 0's weight is 0.0 where it is left out
         mass += np.where(edge, outer[row, 1], 0.0)
     return float(np.sum(q * mass))

@@ -353,6 +353,14 @@ class TestOptimalExponent:
             for z in (1e-150, 1e8, 1e200, math.inf):
                 assert math.isfinite(mo.optimal_exponent(model, z))
 
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    def test_numpy_floats_match_python_floats(self, model):
+        # a numpy z * z overflows with a RuntimeWarning from ~1.3e154 on
+        zs = np.geomspace(1e8, 1e300, 200)
+        for z_np, z in zip(zs, zs.tolist()):
+            assert mo.optimal_exponent(model, z_np) == \
+                mo.optimal_exponent(model, z)
+
 
 class TestDeltaClosed:
     def test_bvn_identity(self):
@@ -413,6 +421,23 @@ class TestDeltaClosed:
             closed = mo.delta_closed(model, "optimal", z, rho, z)
             generic = pe.delta_psi(model.moments, t, rho, z)
             assert closed == pytest.approx(generic, abs=1e-8), rho
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
+    @pytest.mark.parametrize("kind, p", [("identity", 0), ("fisher", -1)])
+    def test_identity_and_fisher_match_mpmath(self, model, kind, p):
+        # phi g ((1 + k p) z^2 + B) at 50 digits; k z^2 (p - p_z) cancels
+        # where p and p_z are both near -1/k, as for BVN's Fisher at large z
+        with mp.workdps(50):
+            k, b = mp.mpf(model.fisher_slope), mp.mpf(model.delta_const)
+            for rho in (-0.5, 0.3, 0.9):
+                r = mp.mpf(rho)
+                g = r if model is mo.BVN else r / (3 * mp.sqrt(1 - r * r))
+                for z in (0.5, 1.645, 3.0, 30.0, 1e4):
+                    zz = mp.mpf(z)
+                    want = float(mp.npdf(zz) * g * ((1 + k * p) * zz ** 2 + b))
+                    got = mo.delta_closed(model, kind, z, rho)
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0), \
+                        (rho, z)
 
 
 class TestDominanceRange:
@@ -936,6 +961,44 @@ class TestSquarevExactRejection:
         got = mo.squarev_exact_rejection(0.5, 400, t, 0.05)
         want = _squarev_exact_rejection_a_loop(0.5, 400, t, 0.05)
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("rho", [0.0, 0.9])
+    @pytest.mark.parametrize("kind", ["identity", "optimal"])
+    def test_matches_the_a_loop_where_the_windows_act(self, rho, kind):
+        # at n = 600 the windows leave out u's and levels of the central a's,
+        # not only a's of negligible P(a)
+        t = mo.transform_for(mo.SQUAREV, kind, Z05)
+        got = mo.squarev_exact_rejection(rho, 600, t, 0.05)
+        want = _squarev_exact_rejection_a_loop(rho, 600, t, 0.05)
+        assert (got == 0.0) == (want == 0.0)
+        assert got == pytest.approx(want, rel=1e-13,
+                                    abs=3 * mo._WINDOW_MASS)
+
+    @pytest.mark.parametrize("n", [100, 1000])
+    @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5, 0.9])
+    def test_windows_leave_out_at_most_3d(self, n, rho):
+        # with every atom rejected, corner included, each a's block sums to
+        # P(a) without windows, and with them falls short by at most
+        # 2 D/(n + 1): D/(n + 1) in u and D/(n + 1) in the levels, or
+        # P(a) <= D/(n + 1) where the a is left out; at most 2 D <= 3 D in
+        # all.  The 1e-13 relative term is the rounding of the sums; P(a)
+        # itself is matched to the ~1e-12 of the log-factorial table at
+        # n = 1000, and to 1e-300 where row weights underflow.
+        d = mo._WINDOW_MASS
+        lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+        p_a = mo._pmf(lf, n, np.arange(n + 1), math.log((1.0 + rho) / 2.0),
+                      math.log((1.0 - rho) / 2.0))
+
+        def every(r):
+            return np.ones(np.shape(r), dtype=bool)
+
+        for a in np.flatnonzero(p_a > 0.0):
+            block = (n, np.array([a]), p_a, lf, every, True)
+            full = mo._rejected_mass(*block, depth=math.inf)
+            windowed = mo._rejected_mass(*block)
+            assert full == pytest.approx(p_a[a], rel=1e-11, abs=1e-300), a
+            assert -1e-13 * full <= full - windowed <= \
+                2 * d / (n + 1) + 1e-13 * full, a
 
     def test_memory_is_bounded_by_the_block(self):
         # in blocks of 2^16 rows the peak at n = 1000 is about 8 MiB; in one
