@@ -474,7 +474,7 @@ def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
     inside = (2 * j <= mm) & (j >= low[:, None])
     jj = np.where(inside, j, 0)
     w = _pmf(lf, mm, jj, half, half)
-    w += np.where(2 * jj < mm, _pmf(lf, mm, mm - jj, half, half), 0.0)
+    w[2 * jj < mm] *= 2.0  # Bin(m, 1/2) weighs v = j and v = m - j alike
     w[~inside] = 0.0
     # outer[:, c] sums the levels below j_0 + c, centre[:, c] those from it on
     outer = np.zeros((m.size, j.size + 1))

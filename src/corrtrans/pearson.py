@@ -108,36 +108,41 @@ def _skew(mu: Mapping, rho: float, s: float) -> float:
 
 def _delta_r_tilde(mu: Mapping, rho: float, z: float, s2: float) -> float:
     t = z * z
+    m03, m04, m06 = mu[0, 3], mu[0, 4], mu[0, 6]
+    m12, m13, m15 = mu[1, 2], mu[1, 3], mu[1, 5]
+    m21, m22, m24 = mu[2, 1], mu[2, 2], mu[2, 4]
+    m30, m31, m33 = mu[3, 0], mu[3, 1], mu[3, 3]
+    m40, m42, m51, m60 = mu[4, 0], mu[4, 2], mu[5, 1], mu[6, 0]
     term0 = 16.0 * (
-        (t - 1.0) * (6.0 * mu[1, 2] * mu[2, 1] - mu[3, 3])
-        + 3.0 * s2 * t * (mu[1, 3] + mu[3, 1])
+        (t - 1.0) * (6.0 * m12 * m21 - m33)
+        + 3.0 * s2 * t * (m13 + m31)
     )
     term1 = -12.0 * rho * (
         (t - 1.0) * (
-            4.0 * mu[0, 3] * mu[2, 1] + 4.0 * mu[1, 2] * mu[3, 0]
-            + 8.0 * mu[1, 2] ** 2 - 2.0 * mu[1, 3] * mu[3, 1]
-            + mu[1, 3] ** 2 + 8.0 * mu[2, 1] ** 2 - 2.0 * mu[2, 4]
-            + mu[3, 1] ** 2 - 2.0 * mu[4, 2]
+            4.0 * m03 * m21 + 4.0 * m12 * m30
+            + 8.0 * m12 ** 2 - 2.0 * m13 * m31
+            + m13 ** 2 + 8.0 * m21 ** 2 - 2.0 * m24
+            + m31 ** 2 - 2.0 * m42
         )
         + s2 * (
-            (2.0 * t + 1.0) * (mu[0, 4] + mu[4, 0])
-            + (4.0 * t - 2.0) * mu[2, 2]
+            (2.0 * t + 1.0) * (m04 + m40)
+            + (4.0 * t - 2.0) * m22
         )
     )
     term2 = 12.0 * rho * rho * (t - 1.0) * (
-        2.0 * mu[0, 3] * (3.0 * mu[1, 2] + mu[3, 0])
-        + mu[0, 4] * (mu[1, 3] - mu[3, 1])
-        + 10.0 * mu[1, 2] * mu[2, 1]
-        - mu[1, 3] * mu[4, 0] - mu[1, 5]
-        + 6.0 * mu[2, 1] * mu[3, 0]
-        + mu[3, 1] * mu[4, 0] - 2.0 * mu[3, 3] - mu[5, 1]
+        2.0 * m03 * (3.0 * m12 + m30)
+        + m04 * (m13 - m31)
+        + 10.0 * m12 * m21
+        - m13 * m40 - m15
+        + 6.0 * m21 * m30
+        + m31 * m40 - 2.0 * m33 - m51
     )
     term3 = -(rho ** 3) * (t - 1.0) * (
-        24.0 * mu[0, 3] * mu[2, 1] + 12.0 * mu[0, 3] ** 2
-        - 6.0 * mu[0, 4] * mu[4, 0] + 3.0 * mu[0, 4] ** 2 - 2.0 * mu[0, 6]
-        + 24.0 * mu[1, 2] * mu[3, 0] + 12.0 * mu[1, 2] ** 2
-        + 12.0 * mu[2, 1] ** 2 - 6.0 * mu[2, 4] + 12.0 * mu[3, 0] ** 2
-        + 3.0 * mu[4, 0] ** 2 - 6.0 * mu[4, 2] - 2.0 * mu[6, 0]
+        24.0 * m03 * m21 + 12.0 * m03 ** 2
+        - 6.0 * m04 * m40 + 3.0 * m04 ** 2 - 2.0 * m06
+        + 24.0 * m12 * m30 + 12.0 * m12 ** 2
+        + 12.0 * m21 ** 2 - 6.0 * m24 + 12.0 * m30 ** 2
+        + 3.0 * m40 ** 2 - 6.0 * m42 - 2.0 * m60
     )
     return term0 + term1 + term2 + term3
 
@@ -178,13 +183,23 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
     The coupled system (psi, psi')' = (psi', h_z psi') is integrated with an
     adaptive Runge-Kutta stepper; psi is odd, so only |rho| is integrated
     and the sign restored.  Evaluation beyond |rho| = 1 - 1e-6 is rejected.
+    h_z does not depend on psi, so it is evaluated once per distinct node:
+    the stepper's last two stages share a node, and an integration starts
+    where the previous one ended.
     """
     if z == 0.0 or not math.isfinite(z):
         raise ValueError("optimal transform requires a finite z != 0")
 
+    # (r, h_z(r)) of the latest node, one tuple so that threads calling psi
+    # at once never pair one call's r with another's h
+    node = (math.nan, math.nan)
+
     def rhs(r: float, y: tuple[float, ...]) -> tuple[float, ...]:
-        h = h_z(m, r, z)
-        return (y[1], h * y[1])
+        nonlocal node
+        last = node
+        if last[0] != r:
+            last = node = (r, h_z(m, r, z))
+        return (y[1], last[1] * y[1])
 
     # (rho, psi, dpsi) checkpoints, kept sorted by rho
     points = [(0.0, 0.0, 1.0)]

@@ -8,6 +8,7 @@ checks; the hypergeometric value, quadrature and ODE stepper are our own.
 
 from __future__ import annotations
 
+import logging
 import math
 import statistics
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _STD_NORMAL = statistics.NormalDist()
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -227,9 +229,17 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-_DP_B5 = _DP_A[6] + (0.0,)  # the 5th-order weights are the last stage row
-_DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-          -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+# stages 2..7 as (c_i, ((j, a_ij) for each a_ij != 0)); the last row is the
+# 5th-order weights b5, so stage 7 is evaluated at the step's new state
+_DP_STAGES = tuple(
+    (c, tuple((j, a) for j, a in enumerate(row) if a != 0.0))
+    for c, row in zip(_DP_C[1:], _DP_A[1:])
+)
+# y5 - y4 = h sum_s e_s k_s with e = b5 - b4, the 4th-order weights b4 being
+# (5179/57600, 0, 7571/16695, 393/640, -92097/339200, 187/2100, 1/40)
+_DP_E = tuple((s, e) for s, e in enumerate((
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
+    -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)) if e != 0.0)
 
 
 def integrate_ode(
@@ -240,40 +250,52 @@ def integrate_ode(
     tol: Tolerance = Tolerance(1e-12, 1e-12, 100_000),
 ) -> tuple[float, ...]:
     """Integrate y' = rhs(t, y) from t0 to t1 with Dormand-Prince 5(4);
-    a step with a non-finite state or error raises IntegrationError."""
+    a step with a non-finite state or error raises IntegrationError.
+
+    The pair is first-same-as-last: the last stage of an accepted step is
+    rhs at its new (t, y), and is kept as the next step's first stage, so
+    an integration calls rhs 1 + 6 times per attempted step.  Each call
+    that returns logs its accepted and rejected steps and rhs calls at
+    DEBUG.
+    """
     if t1 == t0:
         return tuple(y0)
-    dim = len(y0)
+    dims = range(len(y0))
     direction = 1.0 if t1 > t0 else -1.0
     t = t0
     y = list(y0)
+    k1 = rhs(t, tuple(y))
+    accepted = 0
     h = direction * min(1e-2, abs(t1 - t0))
-    for _ in range(tol.max_iter):
+    for attempts in range(1, tol.max_iter + 1):
         if direction * (t + h - t1) > 0.0:
             h = t1 - t
-        ks: list[tuple[float, ...]] = []
-        for stage in range(7):
+        ks = [k1]
+        for c, row in _DP_STAGES:
             yi = list(y)
-            for j, aij in enumerate(_DP_A[stage]):
-                if aij != 0.0:
-                    for d in range(dim):
-                        yi[d] += h * aij * ks[j][d]
-            ks.append(rhs(t + _DP_C[stage] * h, tuple(yi)))
-        y5 = [y[d] + h * sum(_DP_B5[s] * ks[s][d] for s in range(7))
-              for d in range(dim)]
-        y4 = [y[d] + h * sum(_DP_B4[s] * ks[s][d] for s in range(7))
-              for d in range(dim)]
+            for j, aij in row:
+                kj = ks[j]
+                for d in dims:
+                    yi[d] += h * aij * kj[d]
+            ks.append(rhs(t + c * h, tuple(yi)))
+        y5 = yi
         err = 0.0
-        for d in range(dim):
+        for d in dims:
             scale = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y5[d]))
-            err = max(err, abs(y5[d] - y4[d]) / scale)
+            err = max(err, abs(h * sum(e * ks[s][d] for s, e in _DP_E))
+                      / scale)
         # max() drops a NaN term, so a NaN state would pass as a small error
         if not (math.isfinite(err) and all(map(math.isfinite, y5))):
             raise IntegrationError(f"non-finite ODE step from t={t}")
         if err <= 1.0:
+            accepted += 1
             t += h
             y = y5
+            k1 = ks[6]
             if t == t1:
+                _log.debug("integrate_ode: %d accepted, %d rejected steps, "
+                           "%d rhs calls", accepted, attempts - accepted,
+                           1 + 6 * attempts)
                 return tuple(y)
         # standard PI-free step adjustment with safety factor
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0

@@ -192,6 +192,28 @@ class TestOptimalTransformNumeric:
                     resid = t.dlog_dpsi(rho) - pe.h_z(m, rho, Z05)
                     assert abs(resid) < 1e-8
 
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_matches_closed_form_on_the_acceptance_grid(self, model):
+        # 4.7e-12 measured; criterion 1 asks for the paper's 1e-8
+        for z in (1.0, Z05, Z01):
+            t = pe.optimal_transform_numeric(model.moments, z)
+            for rho in sorted(RHO_GRID, key=abs):
+                assert abs(t.psi(rho) - mo.psi_closed(model, z, rho)) <= 1e-10
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_h_z_once_per_node(self, model):
+        # the stepper's last two stages share a node, and each integration
+        # starts at the node where the one before ended
+        for z in (1.0, Z05, Z01):
+            m = RecordingMoments(model.moments)
+            t = pe.optimal_transform_numeric(m, z)
+            for rho in sorted(RHO_GRID, key=abs):
+                t.psi(rho)
+            assert len(m.rhos) > 100
+            assert len(set(m.rhos)) == len(m.rhos)
+
     def test_endpoint_rejected(self):
         t = pe.optimal_transform_numeric(mo.BVN.moments, Z05)
         with pytest.raises(ValueError):
@@ -235,16 +257,18 @@ class TestDeltaPsi:
 
 
 class RecordingMoments:
-    """Moments that count the calls of a model and record which orders
-    (i, j) the returned tables are read at."""
+    """Moments that count the calls of a model, record the rho of each call
+    and which orders (i, j) the returned tables are read at."""
 
     def __init__(self, m):
         self.m = m
         self.calls = 0
+        self.rhos = []
         self.read = set()
 
     def __call__(self, rho):
         self.calls += 1
+        self.rhos.append(rho)
         return ReadRecorder(self.m(rho), self.read)
 
 
@@ -275,6 +299,55 @@ MOMENT_READERS = {
     "assemble_statistic_model":
         lambda m: pe.assemble_statistic_model(m, 0.4),
 }
+
+
+def delta_r_tilde_reference(mu, rho, z, s2):
+    """`pearson._delta_r_tilde` as it read the table, one lookup per term;
+    the kernel must give the same float."""
+    t = z * z
+    term0 = 16.0 * (
+        (t - 1.0) * (6.0 * mu[1, 2] * mu[2, 1] - mu[3, 3])
+        + 3.0 * s2 * t * (mu[1, 3] + mu[3, 1])
+    )
+    term1 = -12.0 * rho * (
+        (t - 1.0) * (
+            4.0 * mu[0, 3] * mu[2, 1] + 4.0 * mu[1, 2] * mu[3, 0]
+            + 8.0 * mu[1, 2] ** 2 - 2.0 * mu[1, 3] * mu[3, 1]
+            + mu[1, 3] ** 2 + 8.0 * mu[2, 1] ** 2 - 2.0 * mu[2, 4]
+            + mu[3, 1] ** 2 - 2.0 * mu[4, 2]
+        )
+        + s2 * (
+            (2.0 * t + 1.0) * (mu[0, 4] + mu[4, 0])
+            + (4.0 * t - 2.0) * mu[2, 2]
+        )
+    )
+    term2 = 12.0 * rho * rho * (t - 1.0) * (
+        2.0 * mu[0, 3] * (3.0 * mu[1, 2] + mu[3, 0])
+        + mu[0, 4] * (mu[1, 3] - mu[3, 1])
+        + 10.0 * mu[1, 2] * mu[2, 1]
+        - mu[1, 3] * mu[4, 0] - mu[1, 5]
+        + 6.0 * mu[2, 1] * mu[3, 0]
+        + mu[3, 1] * mu[4, 0] - 2.0 * mu[3, 3] - mu[5, 1]
+    )
+    term3 = -(rho ** 3) * (t - 1.0) * (
+        24.0 * mu[0, 3] * mu[2, 1] + 12.0 * mu[0, 3] ** 2
+        - 6.0 * mu[0, 4] * mu[4, 0] + 3.0 * mu[0, 4] ** 2 - 2.0 * mu[0, 6]
+        + 24.0 * mu[1, 2] * mu[3, 0] + 12.0 * mu[1, 2] ** 2
+        + 12.0 * mu[2, 1] ** 2 - 6.0 * mu[2, 4] + 12.0 * mu[3, 0] ** 2
+        + 3.0 * mu[4, 0] ** 2 - 6.0 * mu[4, 2] - 2.0 * mu[6, 0]
+    )
+    return term0 + term1 + term2 + term3
+
+
+@pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                         ids=lambda model: model.name)
+def test_delta_r_tilde_matches_the_reference_bitwise(model):
+    for rho in np.linspace(-0.99, 0.99, 41).tolist():
+        mu = model.moments(rho)
+        s2 = pe.sigma_rho(model.moments, rho) ** 2
+        for z in (0.3, 1.0, Z05, Z01, 3.0):
+            assert pe.delta_r_tilde(model.moments, rho, z) == \
+                delta_r_tilde_reference(mu, rho, z, s2), (rho, z)
 
 
 class TestMomentReads:

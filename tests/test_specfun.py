@@ -1,10 +1,16 @@
+import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrtrans import specfun
 from corrtrans.specfun import (
     IntegrationError,
     Tolerance,
@@ -219,3 +225,47 @@ class TestIntegrateOde:
         # max(err, nan) keeps err, so a NaN state used to pass as converged
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate_ode(rhs, 0.0, (1.0,), 1.0)
+
+    @pytest.mark.parametrize("rate", [1.0, -60.0], ids=["smooth", "stiff"])
+    def test_first_stage_is_the_last_of_the_step_before(self, rate, caplog):
+        # first-same-as-last: 1 + 6 rhs calls per attempted step, also
+        # where steps are rejected (y' = -60 y fails the first step h = 0.01)
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return (rate * y[0],)
+
+        with caplog.at_level(logging.DEBUG, logger=specfun.__name__):
+            (y,) = integrate_ode(rhs, 0.0, (1.0,), 1.0)
+        assert y == pytest.approx(math.exp(rate), rel=1e-10, abs=1e-12)
+        accepted, rejected, logged = caplog.records[-1].args
+        assert calls % 6 == 1
+        assert calls == 1 + 6 * (accepted + rejected) == logged
+        assert (rejected > 0) == (rate < 0.0)
+
+    def test_logs_its_counters_at_debug(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger=specfun.__name__):
+            integrate_ode(lambda t, y: (y[1], -y[0]), 0.0, (0.0, 1.0), 1.0)
+        (record,) = caplog.records
+        assert record.name == "corrtrans.specfun"
+        assert record.levelno == logging.DEBUG
+        accepted, rejected, calls = record.args
+        assert accepted > 0
+        assert record.getMessage() == (f"integrate_ode: {accepted} accepted, "
+                                       f"{rejected} rejected steps, "
+                                       f"{calls} rhs calls")
+
+    def test_silent_at_the_default_level(self):
+        src = str(Path(specfun.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([path] if path else [])))
+        code = ("from corrtrans.specfun import integrate_ode\n"
+                "print(integrate_ode(lambda t, y: (y[0],), 0.0, (1.0,), 1.0))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("(2.718281828")
+        assert proc.stderr == ""
