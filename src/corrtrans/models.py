@@ -430,7 +430,9 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
                math.log((1.0 - rho) / 2.0))
     rejects = rejection_rule(t, rho, SQUAREV.sigma(rho), n, alpha)
     corner = bool(rejects(np.zeros(1))[0])
-    live = k[p_a > 0.0]
+    # the a-window P(a) > D/(n + 1) before blocking, halved so that
+    # _rejected_mass's own check decides every a at its edge
+    live = k[p_a > 0.5 * _WINDOW_MASS / (n + 1)]
     per_block = max(1, _ROWS_PER_BLOCK // (n + 1))
     terms = [_rejected_mass(n, live[i:i + per_block], p_a, lf, rejects,
                             corner)

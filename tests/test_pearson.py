@@ -1,5 +1,11 @@
+import logging
 import math
+import os
+import statistics
+import subprocess
+import sys
 from collections.abc import Mapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +430,128 @@ class TestRejectionThreshold:
                         else:
                             finite += 1
         assert finite > 800 and infinite > 50, (finite, infinite)
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_matches_fixed_bisection_on_a_wider_grid(self, model):
+        # steep exponents (alpha 0.49: p ~ 800 for BVN, 530 for SquareV),
+        # |rho| near 1 and the benchmark's n; a median of at most 20 psi
+        # calls per finite or infinite r*, where the bisection takes ~55
+        calls, counts = [0], []
+        for alpha in (0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.49):
+            z = normal_quantile(1.0 - alpha)
+            for kind in mo.TRANSFORM_KINDS:
+                base = mo.transform_for(model, kind, z)
+
+                def psi(r, base=base):
+                    calls[0] += 1
+                    return base.psi(r)
+
+                t = pe.Transform(psi, base.dpsi, base.dlog_dpsi)
+                for rho in (-0.99, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.7, 0.9,
+                            0.95, 0.99):
+                    sigma = model.sigma(rho)
+                    for n in (2, 5, 10, 50, 200, 1000, 10_000):
+                        case = (alpha, kind, rho, n)
+                        try:
+                            expected = rejection_threshold_80(
+                                t, rho, sigma, n, alpha)
+                        except pe.DegenerateModelError:
+                            with pytest.raises(pe.DegenerateModelError):
+                                pe.rejection_threshold(t, rho, sigma, n, alpha)
+                            continue
+                        calls[0] = 0
+                        r_star = pe.rejection_threshold(t, rho, sigma, n, alpha)
+                        assert r_star.hex() == expected.hex(), case
+                        assert calls[0] <= 64, case
+                        counts.append(calls[0])
+        assert len(counts) > 1500
+        assert statistics.median(counts) <= 20, statistics.median(counts)
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_numeric_transform_matches_closed_form(self, model):
+        # r* of the ODE transform, which stops at |R| = 1 - 1e-6, against
+        # the closed form; cells where the closed-form r* is +inf or above
+        # 0.999 would ask the numeric psi past its end
+        cells = 0
+        for alpha in (0.05, 0.01):
+            z = normal_quantile(1.0 - alpha)
+            numeric = pe.optimal_transform_numeric(model.moments, z)
+            closed = mo.transform_for(model, "optimal", z)
+            for rho in (-0.5, 0.0, 0.5, 0.9):
+                sigma = model.sigma(rho)
+                for n in (10, 100, 1000):
+                    want = pe.rejection_threshold(closed, rho, sigma, n, alpha)
+                    if not want <= 0.999:
+                        continue
+                    got = pe.rejection_threshold(numeric, rho, sigma, n, alpha)
+                    assert got == pytest.approx(want, rel=0.0, abs=1e-10), \
+                        (alpha, rho, n)
+                    cells += 1
+        assert cells >= 20
+
+    def test_logs_its_counters_at_debug(self, caplog):
+        base = mo.transform_for(mo.SQUAREV, "optimal", Z05)
+        calls = [0]
+
+        def psi(r):
+            calls[0] += 1
+            return base.psi(r)
+
+        t = pe.Transform(psi, base.dpsi, base.dlog_dpsi)
+        with caplog.at_level(logging.DEBUG, logger=pe.__name__):
+            pe.rejection_threshold(t, 0.5, mo.SQUAREV.sigma(0.5), 100, 0.05)
+        (record,) = caplog.records
+        assert record.name == "corrtrans.pearson"
+        assert record.levelno == logging.DEBUG
+        rho, n, z_alpha, logged, steps, guard = record.args
+        assert (rho, n, z_alpha) == (0.5, 100, Z05)
+        assert logged == calls[0] <= 20
+        assert 1 <= steps <= pe._NEWTON_STEPS
+        assert guard == "guard held"
+        assert record.getMessage() == (
+            f"rejection_threshold at rho=0.5, n=100, z_alpha={Z05!r}: "
+            f"{logged} psi calls, {steps} Newton steps, guard held")
+
+    def test_silent_at_the_default_level(self):
+        src = str(Path(pe.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([path] if path else [])))
+        code = ("from corrtrans import models as mo, pearson as pe\n"
+                "t = mo.transform_for(mo.SQUAREV, 'optimal', 1.6448536269514722)\n"
+                "print(pe.rejection_threshold(t, 0.5, 0.75 ** 0.5, 100, 0.05))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("0.6")
+        assert proc.stderr == ""
+
+
+class TestRejectionRule:
+    def test_band_calls_psi_once_per_value(self):
+        # R within 1e-9 of r* is decided by tau, from psi(R) alone: psi(rho)
+        # and psi'(rho) sigma are computed once, with the rule
+        base = mo.transform_for(mo.SQUAREV, "optimal", Z05)
+        calls = [0]
+
+        def psi(r):
+            calls[0] += 1
+            return base.psi(r)
+
+        t = pe.Transform(psi, base.dpsi, base.dlog_dpsi)
+        rho, sigma, n = 0.5, mo.SQUAREV.sigma(0.5), 100
+        rule = pe.rejection_rule(t, rho, sigma, n, 0.05)
+        r_star = pe.rejection_threshold(base, rho, sigma, n, 0.05)
+        band = [r_star - 5e-10, r_star, np.nextafter(r_star, 1.0),
+                r_star + 5e-10]
+        r = np.array(band * 3 + [0.0, 0.5, 0.99])
+        calls[0] = 0
+        got = rule(r)
+        assert calls[0] == len(band)
+        want = [pe.tau(base, v, rho, sigma, n) > Z05 for v in r.tolist()]
+        assert got.tolist() == want
 
 
 class TestTau:
