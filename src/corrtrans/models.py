@@ -14,7 +14,11 @@ Wishart(Sigma, n - 1), by the Bartlett decomposition (three draws); for
 SquareV a = #{W = 1} ~ Bin(n, (1 + rho)/2), u = #{Y = 1, W = 1} ~ Bin(a, 1/2)
 and v = #{Y = 1, W = -1} ~ Bin(n - a, 1/2), the (a, u, v) the oracle sums over.
 For n <= 512 u and v are popcounts of Y's n fair signs drawn as random bits,
-at most 8 words per sample; above it they are two binomials.
+at most 8 words per sample; above it they are two binomials.  SquareV's R
+thus takes one value per triple (a, u, v), C(n + 3, 3) atoms in all: its
+`Lattice` numbers them, gives R of each, and draws atom numbers from the
+same (a, u, v) draws as `sample_r`, so Monte Carlo can count atoms
+instead of deciding every sample.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .specfun import (
 
 __all__ = [
     "DependenceModel",
+    "Lattice",
     "BetaInterval",
     "BVN",
     "SQUAREV",
@@ -160,12 +165,58 @@ def _squarev_sign_counts(n: int, a: np.ndarray, rng: np.random.Generator
     return u, np.subtract(v, u, out=v)
 
 
-def _squarev_sample_r(rho: float, rows: int, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
+def _squarev_counts(rho: float, rows: int, n: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, u, v) of `rows` SquareV samples of size n: the one draw that both
+    R and the atom numbers are made from."""
     a = rng.binomial(n, (1.0 + rho) / 2.0, rows)
     if n > _SQUAREV_BITS_MAX_N:
-        return _squarev_r(n, a, rng.binomial(a, 0.5), rng.binomial(n - a, 0.5))
-    return _squarev_r(n, a, *_squarev_sign_counts(n, a, rng))
+        return a, rng.binomial(a, 0.5), rng.binomial(n - a, 0.5)
+    return (a, *_squarev_sign_counts(n, a, rng))
+
+
+def _squarev_sample_r(rho: float, rows: int, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    return _squarev_r(n, *_squarev_counts(rho, rows, n, rng))
+
+
+def _squarev_first_atoms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """SquareV's atoms at n are the (a, u, v) with u <= a and v <= n - a,
+    numbered start[a] + u (n + 1 - a) + v: returns start and the
+    (a + 1)(n + 1 - a) atoms of each a, which sum to C(n + 3, 3)."""
+    k = np.arange(n + 1)
+    per_a = (k + 1) * (n + 1 - k)
+    return np.cumsum(per_a) - per_a, per_a
+
+
+def _squarev_lattice_r(n: int) -> np.ndarray:
+    start, per_a = _squarev_first_atoms(n)
+    a = np.repeat(np.arange(n + 1), per_a)
+    return _squarev_r(n, a, *np.divmod(np.arange(a.size) - start[a],
+                                       n + 1 - a))
+
+
+def _squarev_sample_atoms(rho: float, rows: int, n: int,
+                          rng: np.random.Generator) -> np.ndarray:
+    a, u, v = _squarev_counts(rho, rows, n, rng)
+    u *= n + 1 - a  # in place: concurrent tasks hold few arrays
+    u += v
+    u += _squarev_first_atoms(n)[0][a]
+    return u
+
+
+@dataclass(frozen=True)
+class Lattice:
+    """The finitely many values R takes at each sample size n, for a model
+    that has them: its atoms, numbered 0 to size(n) - 1."""
+
+    # n -> number of atoms, without building them
+    size: Callable[[int], int]
+    # n -> R of every atom, in atom order, bit for bit the R sample_r draws
+    r: Callable[[int], np.ndarray]
+    # (rho, rows, n, rng) -> atom numbers of `rows` samples, from the same
+    # draws as sample_r, so the two leave rng in the same state
+    sample: Callable[[float, int, int, np.random.Generator], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -189,6 +240,8 @@ class DependenceModel:
     odd_factor: Callable[[float], float]
     delta_const: float
     fisher_slope: float
+    # the atoms of R, for a model whose R takes finitely many values
+    lattice: Lattice | None = None
 
     def sigma(self, rho: float) -> float:
         return sigma_rho(self.moments, rho)
@@ -222,6 +275,8 @@ SQUAREV = DependenceModel(
     odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
     delta_const=-1.0,
     fisher_slope=3.0,
+    lattice=Lattice(lambda n: math.comb(n + 3, 3), _squarev_lattice_r,
+                    _squarev_sample_atoms),
 )
 
 _MODELS = {"bvn": BVN, "squarev": SQUAREV}

@@ -15,10 +15,17 @@ first), so a task holds O(N) memory; tasks run on threads of one process
 (numpy draws without the GIL), so a run holds about width x that at a
 time.  Draws are counted by `pearson.rejection_rule`, as the exact SquareV
 oracle is.
+
+Where the model's R has at most N atoms at n (`DependenceModel.lattice`),
+each rule is decided once per atom instead, before the tasks start, and a
+task draws the same samples as atom numbers and sums its histogram over
+each rule's rejected atoms: the same counts from fewer temporaries, and
+with less of the task's time holding the GIL.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +51,8 @@ __all__ = [
 ]
 
 THREADS_ENV = "CORRTRANS_THREADS"
+
+_log = logging.getLogger(__name__)
 
 
 def substream(master_seed: int, cell_index: int, worker_index: int
@@ -114,17 +123,34 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
         raise ValueError(f"n and N must be integers, n >= 2 and N >= 1, "
                          f"got n={n!r}, N={N!r}")
     rejects = rejection_rule(transform, rho, model.sigma(rho), n, alpha)
-    return _count_rejections(model, [rejects], rho, n, N, rng)[0] / N
+    return _counter(model, [rejects], rho, n, N)(rng)[0] / N
 
 
-def _count_rejections(model: _models.DependenceModel,
-                      rules: list[Callable[[np.ndarray], np.ndarray]],
-                      rho: float, n: int, N: int,
-                      rng: np.random.Generator) -> list[int]:
-    """How many of N draws of R, from one `sample_r` call, each rule
-    rejects."""
-    r = model.sample_r(rho, N, n, rng)
-    return [int(np.count_nonzero(rejects(r))) for rejects in rules]
+def _counter(model: _models.DependenceModel,
+             rules: list[Callable[[np.ndarray], np.ndarray]],
+             rho: float, n: int, N: int
+             ) -> Callable[[np.random.Generator], list[int]]:
+    """The task of one (rho, n): draw N values of R from a generator and
+    return how many of them each rule rejects.  Where the model's R has at
+    most N atoms, each rule is decided here, once per atom, and a task
+    counts the draws of each atom; otherwise it decides every draw."""
+    lattice = model.lattice
+    atoms = None if lattice is None else lattice.size(n)
+    on_lattice = atoms is not None and atoms <= N
+    _log.debug("Monte Carlo at rho=%r, n=%d: %s path, atoms=%s, draws=%d per "
+               "task", rho, n, "lattice" if on_lattice else "row", atoms, N)
+    if not on_lattice:
+        def count(rng: np.random.Generator) -> list[int]:
+            r = model.sample_r(rho, N, n, rng)
+            return [int(np.count_nonzero(rejects(r))) for rejects in rules]
+        return count
+    r = lattice.r(n)
+    rejected = np.array([rejects(r) for rejects in rules])  # rules x atoms
+
+    def count_atoms(rng: np.random.Generator) -> list[int]:
+        hist = np.bincount(lattice.sample(rho, N, n, rng), minlength=atoms)
+        return (rejected @ hist).tolist()
+    return count_atoms
 
 
 def aggregate(alpha_hats: tuple[float, ...], alpha: float) -> CellResult:
@@ -178,25 +204,25 @@ def run_grid(grid: ExperimentGrid
     """Run every (rho, n, worker) substream and count every (alpha,
     transform) rule of that (rho, n) on its draws; returns results keyed by
     (transform, alpha, rho, n).  Output is independent of scheduling.  Each
-    cell's rejection rules are built once, before any sampling starts."""
+    cell's rejection rules are built, and on a lattice decided per atom,
+    once, before any sampling starts."""
     model = _models.get_model(grid.model)
     draws = list(product(grid.rhos, grid.ns))
     levels = list(product(grid.alphas, grid.transforms))
     transforms = [_models.transform_for(model, kind,
                                         normal_quantile(1.0 - alpha))
                   for alpha, kind in levels]
-    rules = []
+    counters = []
     for rho, n in draws:
         sigma = model.sigma(rho)
-        rules.append([rejection_rule(t, rho, sigma, n, alpha)
-                      for (alpha, _), t in zip(levels, transforms)])
+        rules = [rejection_rule(t, rho, sigma, n, alpha)
+                 for (alpha, _), t in zip(levels, transforms)]
+        counters.append(_counter(model, rules, rho, n, grid.N))
     tasks = list(product(range(len(draws)), range(grid.K)))
 
     def task_counts(task: tuple[int, int]) -> list[int]:
         d, k = task
-        rho, n = draws[d]
-        return _count_rejections(model, rules[d], rho, n, grid.N,
-                                 substream(grid.master_seed, d, k))
+        return counters[d](substream(grid.master_seed, d, k))
 
     # map yields in task order and, on a failed task, cancels those not begun
     with ThreadPoolExecutor(max_workers=worker_pool_width(len(tasks))) as pool:

@@ -745,6 +745,40 @@ class TestSampleR:
         crit = math.sqrt(-math.log(0.5e-4) / 2.0) * math.sqrt(2.0 / draws)
         assert _ks_statistic(fast, direct) < crit
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 65, 200, 600])
+    def test_squarev_atoms_draw_what_sample_r_draws(self, n):
+        # one seed: the atom numbers decode to the (a, u, v) whose R
+        # sample_r draws, bit for bit, and leave the generator alike; at
+        # n = 600 u and v are binomials
+        lattice, rho, rows = mo.SQUAREV.lattice, 0.3, 20_000
+        r_rng, atom_rng = (np.random.Generator(np.random.Philox(key=81))
+                           for _ in range(2))
+        r = mo.SQUAREV.sample_r(rho, rows, n, r_rng)
+        atoms = lattice.sample(rho, rows, n, atom_rng)
+        assert r_rng.random() == atom_rng.random()
+        assert 0 <= atoms.min() and atoms.max() < lattice.size(n)
+        start, _ = mo._squarev_first_atoms(n)
+        a = np.searchsorted(start, atoms, side="right") - 1
+        u, v = np.divmod(atoms - start[a], n + 1 - a)
+        assert np.all(u <= a)
+        assert np.array_equal(mo._squarev_r(n, a, u, v), r)
+        if n <= 200:
+            assert np.array_equal(lattice.r(n)[atoms], r)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_squarev_lattice_numbers_each_count_vector_once(self, n):
+        # atom i is the i-th (a, u, v) in lexicographic order, and R of
+        # every atom is the kernel's R of its cell-count vector
+        lattice = mo.SQUAREV.lattice
+        assert lattice.size(n) == math.comb(n + 3, 3) == len(_count_vectors(n))
+        counts = [(a, u, v) for a in range(n + 1) for u in range(a + 1)
+                  for v in range(n - a + 1)]
+        a, u, v = np.array(counts).T
+        assert np.array_equal(lattice.r(n), mo._squarev_r(n, a, u, v))
+
+    def test_bvn_has_no_lattice(self):
+        assert mo.BVN.lattice is None
+
     @pytest.mark.parametrize("rho", [-0.5, 0.0, 0.5, 0.9])
     def test_bvn_sign_law_at_n2(self, rho):
         # at n = 2, R = sign((Y1 - Y2)(Z1 - Z2)) and the differences are

@@ -1,9 +1,14 @@
 import dataclasses
+import hashlib
 import itertools
+import logging
 import math
 import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +200,89 @@ class TestRunCell:
                             mc.substream(1, 0, 0))
                 for n, N in ((10, 100), (np.int64(10), np.int32(100)))]
         assert hats[0] == hats[1]
+
+
+class TestLatticePath:
+    """Where SquareV's R has at most N atoms, a task counts the draws of
+    each atom and each rule is decided once per atom; on the same substream
+    it must count what deciding every draw counts."""
+
+    ROWS_ONLY = dataclasses.replace(mo.SQUAREV, lattice=None)
+    N = 12_000  # C(42, 3) = 11,480 atoms at n = 39
+
+    @staticmethod
+    def rules(rho, n):
+        sigma = mo.SQUAREV.sigma(rho)
+        return [pe.rejection_rule(
+                    mo.transform_for(mo.SQUAREV, kind,
+                                     normal_quantile(1.0 - alpha)),
+                    rho, sigma, n, alpha)
+                for alpha in (0.05, 0.01) for kind in mo.TRANSFORM_KINDS]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 39])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, 0.99])
+    def test_counts_as_the_row_path(self, rho, n):
+        assert mo.SQUAREV.lattice.size(n) <= self.N
+        rules = self.rules(rho, n)
+        got, want = (mc._counter(model, rules, rho, n, self.N)(
+                         mc.substream(5, n, 0))
+                     for model in (mo.SQUAREV, self.ROWS_ONLY))
+        assert got == want
+
+    def test_atom_in_the_tie_band(self):
+        # test_squarev_atom_on_the_threshold's atom: R(a=2, u=1, v=0) at
+        # n = 5 is on the Fisher threshold, so the rule decides it by tau
+        n, rho = 5, 0.0
+        t = mo.power_transform(-1.0)
+        r0 = float(mo._squarev_r(n, 2, 1, 0))
+        alpha = 1.0 - normal_cdf(pe.tau(t, r0, rho, 1.0, n))
+        r_star = pe.rejection_threshold(t, rho, mo.SQUAREV.sigma(rho), n,
+                                        alpha)
+        assert abs(r0 - r_star) <= pe._TIE_BAND
+        rules = [pe.rejection_rule(t, rho, mo.SQUAREV.sigma(rho), n, alpha)]
+        got, want = (mc._counter(model, rules, rho, n, 5000)(
+                         mc.substream(7, 0, 0))
+                     for model in (mo.SQUAREV, self.ROWS_ONLY))
+        assert got == want
+        assert 0 < got[0] < 5000
+
+    def test_run_cell_counts_as_the_row_path(self):
+        t = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.95))
+        hats = [mc.run_cell(model, t, 0.05, 0.5, 10, 4000,
+                            mc.substream(3, 0, 0))
+                for model in (mo.SQUAREV, self.ROWS_ONLY)]
+        assert hats[0] == hats[1]
+
+    def test_logs_the_path_at_debug(self, monkeypatch, caplog):
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        with caplog.at_level(logging.DEBUG, logger=mc.__name__):
+            for n, N in ((10, 4000), (200, 12_000)):
+                mc.run_grid(mc.ExperimentGrid("squarev", (0.05,), (0.5,),
+                                              (n,), N=N, K=1))
+        assert [r.name for r in caplog.records] == ["corrtrans.montecarlo"] * 2
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
+        assert [r.args for r in caplog.records] == [
+            (0.5, 10, "lattice", 286, 4000),
+            (0.5, 200, "row", 1_373_701, 12_000)]
+        assert caplog.records[0].getMessage() == (
+            "Monte Carlo at rho=0.5, n=10: lattice path, atoms=286, "
+            "draws=4000 per task")
+
+    def test_silent_at_the_default_level(self):
+        src = str(Path(mc.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([path] if path else [])))
+        code = ("from corrtrans import montecarlo as mc\n"
+                "for n, N in ((10, 400), (10, 100)):\n"
+                "    grid = mc.ExperimentGrid('squarev', (0.05,), (0.5,), "
+                "(n,), N=N, K=2)\n"
+                "    print(len(mc.run_grid(grid)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout == "3\n3\n"
+        assert proc.stderr == ""
 
 
 class TestPredictedRelativeError:
@@ -425,3 +513,54 @@ class TestRunGridThreads:
         with pytest.raises(RuntimeError, match="task 3 failed"):
             mc.run_grid(grid)
         assert len(calls) <= 10
+
+
+class TestStreamDigest:
+    """SHA-256 of `run_grid`'s alpha_hats on small grids, one per sampling
+    path: SquareV on its lattice (n 10, 20), its bits (n 200) and its
+    binomials (n 600), and BVN.  numpy does not promise the same Generator
+    streams across versions, so the digests hold for the numpy major.minor
+    they were recorded with.  A change that moves the random stream updates
+    them and says so in CHANGES.md."""
+
+    NUMPY = "2.4"
+    GRIDS = {
+        "squarev-lattice": mc.ExperimentGrid(
+            "squarev", (0.05, 0.01), (0.0, 0.5, 0.9), (10, 20), N=2000, K=2,
+            master_seed=11),
+        "squarev-bits": mc.ExperimentGrid(
+            "squarev", (0.05, 0.01), (0.0, 0.5), (200,), N=2000, K=2,
+            master_seed=12),
+        "squarev-binomials": mc.ExperimentGrid(
+            "squarev", (0.05, 0.01), (0.0, 0.5), (600,), N=2000, K=2,
+            master_seed=13),
+        "bvn": mc.ExperimentGrid(
+            "bvn", (0.05, 0.01), (0.0, 0.5), (50,), N=2000, K=2,
+            master_seed=14),
+    }
+    DIGESTS = {
+        "squarev-lattice":
+            "cc861fe4941de37a047290e62bbcb82b035c3e73ea5f7a55aeb5a150bed9bc5c",
+        "squarev-bits":
+            "fa0c295fe8c454d67fe5504287426ea51fd08e41175b0e3b2a2bd61c5d901ca2",
+        "squarev-binomials":
+            "bfb4bc0776a0ff66112c6d50a91abae70ef3460856c9ec36170df496df3d1581",
+        "bvn":
+            "63e19b40af8c346300a34fdcdc878ad9ec16537cfc45deb98aec620961d922b6",
+    }
+
+    @staticmethod
+    def digest(results) -> str:
+        text = "\n".join(f"{key!r} {results[key].alpha_hats!r}"
+                         for key in sorted(results))
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_stream_is_pinned(self, monkeypatch, name):
+        version = ".".join(np.__version__.split(".")[:2])
+        if version != self.NUMPY:
+            pytest.skip(f"digests recorded with numpy {self.NUMPY}, "
+                        f"running {version}")
+        monkeypatch.setenv(mc.THREADS_ENV, "2")
+        results = mc.run_grid(self.GRIDS[name])
+        assert self.digest(results) == self.DIGESTS[name]
