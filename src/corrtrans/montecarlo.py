@@ -25,6 +25,7 @@ with less of the task's time holding the GIL.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
@@ -128,12 +129,14 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
 
 def _counter(model: _models.DependenceModel,
              rules: list[Callable[[np.ndarray], np.ndarray]],
-             rho: float, n: int, N: int
+             rho: float, n: int, N: int,
+             lattice_r: Callable[[int], np.ndarray] | None = None
              ) -> Callable[[np.random.Generator], list[int]]:
     """The task of one (rho, n): draw N values of R from a generator and
     return how many of them each rule rejects.  Where the model's R has at
-    most N atoms, each rule is decided here, once per atom, and a task
-    counts the draws of each atom; otherwise it decides every draw."""
+    most N atoms, each rule is decided here, once per atom of lattice_r(n)
+    (default: the lattice's r), and a task counts the draws of each atom;
+    otherwise it decides every draw."""
     lattice = model.lattice
     atoms = None if lattice is None else lattice.size(n)
     on_lattice = atoms is not None and atoms <= N
@@ -144,7 +147,7 @@ def _counter(model: _models.DependenceModel,
             r = model.sample_r(rho, N, n, rng)
             return [int(np.count_nonzero(rejects(r))) for rejects in rules]
         return count
-    r = lattice.r(n)
+    r = (lattice_r or lattice.r)(n)
     rejected = np.array([rejects(r) for rejects in rules])  # rules x atoms
 
     def count_atoms(rng: np.random.Generator) -> list[int]:
@@ -205,19 +208,20 @@ def run_grid(grid: ExperimentGrid
     transform) rule of that (rho, n) on its draws; returns results keyed by
     (transform, alpha, rho, n).  Output is independent of scheduling.  Each
     cell's rejection rules are built, and on a lattice decided per atom,
-    once, before any sampling starts."""
+    once, before any sampling starts; a lattice's R is built once per n."""
     model = _models.get_model(grid.model)
     draws = list(product(grid.rhos, grid.ns))
     levels = list(product(grid.alphas, grid.transforms))
     transforms = [_models.transform_for(model, kind,
                                         normal_quantile(1.0 - alpha))
                   for alpha, kind in levels]
+    lattice_r = model.lattice and functools.cache(model.lattice.r)
     counters = []
     for rho, n in draws:
         sigma = model.sigma(rho)
         rules = [rejection_rule(t, rho, sigma, n, alpha)
                  for (alpha, _), t in zip(levels, transforms)]
-        counters.append(_counter(model, rules, rho, n, grid.N))
+        counters.append(_counter(model, rules, rho, n, grid.N, lattice_r))
     tasks = list(product(range(len(draws)), range(grid.K)))
 
     def task_counts(task: tuple[int, int]) -> list[int]:

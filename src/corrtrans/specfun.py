@@ -3,7 +3,8 @@
 Everything here is a pure function of its arguments.  The normal cdf and
 quantile and log-gamma come from the standard library (``math.erfc``,
 ``statistics.NormalDist``, ``math.lgamma``) behind this module's argument
-checks; the hypergeometric value, quadrature and ODE stepper are our own.
+checks; the hypergeometric value and the ODE stepper are our own, and
+quadrature is that stepper solving y' = f(t).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class Tolerance:
 
 
 class IntegrationError(ArithmeticError):
-    """Adaptive integrator or ODE stepper failed to converge."""
+    """The ODE stepper (so also quadrature) or a series failed to converge."""
 
 
 def normal_pdf(z: float) -> float:
@@ -95,85 +96,6 @@ def gamma_ratio_endpoint(p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Gauss-Kronrod quadrature (7-15 pair, interval bisection)
-# ---------------------------------------------------------------------------
-
-_K15_NODES = (
-    0.991455371120813,
-    0.949107912342759,
-    0.864864423359769,
-    0.741531185599394,
-    0.586087235467691,
-    0.405845151377397,
-    0.207784955007898,
-    0.0,
-)
-_K15_W = (
-    0.022935322010529,
-    0.063092092629979,
-    0.104790010322250,
-    0.140653259715525,
-    0.169004726639267,
-    0.190350578064785,
-    0.204432940075298,
-    0.209482141084728,
-)
-_G7_W = (
-    0.129484966168870,
-    0.279705391489277,
-    0.381830050505119,
-    0.417959183673469,
-)
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """Kronrod-15 estimate over [a, b] and its error estimate vs Gauss-7."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = f(c)
-    k = _K15_W[7] * fc
-    g = _G7_W[3] * fc
-    for i in range(7):
-        x = h * _K15_NODES[i]
-        fsum = f(c - x) + f(c + x)
-        k += _K15_W[i] * fsum
-        if i % 2 == 1:  # odd Kronrod indices are the Gauss-7 nodes
-            g += _G7_W[i // 2] * fsum
-    k *= h
-    g *= h
-    return k, abs(k - g)
-
-
-def integrate_adaptive(
-    f: Callable[[float], float], a: float, b: float, tol: Tolerance = Tolerance()
-) -> float:
-    """Integrate f over [a, b] to within tol.abs_tol + tol.rel_tol * |I|."""
-    if a == b:
-        return 0.0
-    sign = 1.0
-    if a > b:
-        a, b = b, a
-        sign = -1.0
-    val, err = _gk15(f, a, b)
-    segments = [(a, b, val, err)]
-    for _ in range(tol.max_iter):
-        total = math.fsum(s[2] for s in segments)
-        total_err = math.fsum(s[3] for s in segments)
-        if total_err <= tol.abs_tol + tol.rel_tol * abs(total):
-            return sign * total
-        worst = max(range(len(segments)), key=lambda i: segments[i][3])
-        lo, hi, _, _ = segments.pop(worst)
-        mid = 0.5 * (lo + hi)
-        vl, el = _gk15(f, lo, mid)
-        vr, er = _gk15(f, mid, hi)
-        segments.append((lo, mid, vl, el))
-        segments.append((mid, hi, vr, er))
-    raise IntegrationError(
-        f"quadrature did not converge within {tol.max_iter} subdivisions"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Gauss hypergeometric 2F1(1/2, -p; 3/2; x)
 # ---------------------------------------------------------------------------
 
@@ -214,7 +136,7 @@ def gauss_2f1_half(p: float, x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Runge-Kutta (Dormand-Prince 5(4)) for small ODE systems
+# Adaptive Runge-Kutta (Dormand-Prince 5(4)): small ODE systems, quadrature
 # ---------------------------------------------------------------------------
 
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -303,3 +225,22 @@ def integrate_ode(
     raise IntegrationError(
         f"ODE integration did not converge within {tol.max_iter} steps"
     )
+
+
+# integrate_ode holds each step to its tolerance, but the caller's bound is on
+# the whole integral, to which every step's error adds: hence a tighter one
+_QUAD_MARGIN = 16.0
+
+
+def integrate_adaptive(
+    f: Callable[[float], float], a: float, b: float, tol: Tolerance = Tolerance()
+) -> float:
+    """Integrate f over [a, b] to within tol.abs_tol + tol.rel_tol * |I| as
+    y' = f(t), y(a) = 0 by `integrate_ode`, each step held to tol /
+    _QUAD_MARGIN: f is evaluated at a and at b too, and tol.max_iter counts
+    attempted steps.  a == b gives 0.0 without calling f."""
+    # a tolerance near the smallest float would divide to 0 and be refused
+    abs_tol, rel_tol = (max(x / _QUAD_MARGIN, math.ulp(0.0))
+                        for x in (tol.abs_tol, tol.rel_tol))
+    return integrate_ode(lambda t, y: (f(t),), a, (0.0,), b,
+                         Tolerance(abs_tol, rel_tol, tol.max_iter))[0]

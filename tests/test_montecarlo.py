@@ -253,6 +253,27 @@ class TestLatticePath:
                 for model in (mo.SQUAREV, self.ROWS_ONLY)]
         assert hats[0] == hats[1]
 
+    def test_run_grid_builds_each_n_lattice_once(self, monkeypatch):
+        # R of the atoms depends on n alone: one array per n within a run,
+        # and nothing kept from one run for the next
+        built = []
+
+        def lattice_r(n):
+            built.append(n)
+            return mo.SQUAREV.lattice.r(n)
+
+        model = dataclasses.replace(mo.SQUAREV, lattice=dataclasses.replace(
+            mo.SQUAREV.lattice, r=lattice_r))
+        monkeypatch.setitem(mo._MODELS, "squarev", model)
+        grid = mc.ExperimentGrid("squarev", (0.05,), (0.0, 0.1, 0.5, 0.9),
+                                 (5, 10), N=400, K=2, master_seed=3)
+        first = mc.run_grid(grid)
+        assert sorted(built) == [5, 10]
+        assert mc.run_grid(grid) == first
+        assert sorted(built) == [5, 5, 10, 10]
+        monkeypatch.undo()
+        assert mc.run_grid(grid) == first
+
     def test_logs_the_path_at_debug(self, monkeypatch, caplog):
         monkeypatch.setenv(mc.THREADS_ENV, "1")
         with caplog.at_level(logging.DEBUG, logger=mc.__name__):

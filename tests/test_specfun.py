@@ -211,6 +211,84 @@ class TestIntegrateAdaptive:
                                0, 1, starved)
 
 
+class TestQuadratureBound:
+    """integrate_adaptive is y' = f(t) through integrate_ode: it must keep
+    its bound abs_tol + rel_tol |I| on integrals with closed forms."""
+
+    CASES = {
+        "log": (lambda r: 2 * r / (1 - r * r), 0.0, 0.9, -math.log(0.19)),
+        "sin20": (lambda x: math.sin(20 * x), 0.0, 3.0,
+                  (1 - math.cos(60)) / 20),
+        "gauss": (lambda x: math.exp(-x * x), -4.0, 4.0,
+                  math.sqrt(math.pi) * math.erf(4)),
+        "poly10": (lambda r: (1 - r * r) ** 5, 0.0, 1.0, 256 / 693),
+        "arcsin": (lambda r: 1 / math.sqrt(1 - r * r), 0.0, 0.999,
+                   math.asin(0.999)),
+        "cos100": (math.cos, 0.0, 100.0, math.sin(100)),
+        # mpmath.quad misses this one; 2 atan 50 is exact
+        "cauchy": (lambda x: 1 / (1 + x * x), -50.0, 50.0, 2 * math.atan(50)),
+        "exp_down": (math.exp, 10.0, 0.0, 1 - math.exp(10)),
+    }
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_meets_the_bound(self, case, eps):
+        f, a, b, exact = self.CASES[case]
+        got = integrate_adaptive(f, a, b, Tolerance(eps, eps, 100_000))
+        assert abs(got - exact) <= eps + eps * abs(exact)
+
+    @pytest.mark.parametrize("x", [0.0, -3.5, 1e300])
+    def test_empty_interval_is_exactly_zero_without_calling_f(self, x):
+        def f(t):
+            raise AssertionError("f called on an empty interval")
+
+        got = integrate_adaptive(f, x, x)
+        assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_evaluates_f_at_both_ends(self):
+        seen = []
+        integrate_adaptive(lambda t: seen.append(t) or t, 0.25, 2.0)
+        assert seen[0] == 0.25 and 2.0 in seen
+        assert all(0.25 <= t <= 2.0 for t in seen)
+
+    def test_max_iter_counts_attempted_steps(self):
+        # f = 1 has no error, so each step is 5 times the last from 0.01:
+        # 0.01, 0.05, 0.25 and the remaining 0.69 cover [0, 1] in four
+        calls = 0
+
+        def one(t):
+            nonlocal calls
+            calls += 1
+            return 1.0
+
+        assert integrate_adaptive(one, 0.0, 1.0, Tolerance(1e-9, 1e-9, 4)) \
+            == pytest.approx(1.0, abs=1e-15)
+        assert calls == 1 + 6 * 4
+        with pytest.raises(IntegrationError, match="within 3 steps"):
+            integrate_adaptive(one, 0.0, 1.0, Tolerance(1e-9, 1e-9, 3))
+
+    @pytest.mark.parametrize("f", [math.sin, lambda r: 1.0],
+                             ids=["sin", "constant"])
+    def test_starved_budget_raises(self, f):
+        with pytest.raises(IntegrationError):
+            integrate_adaptive(f, 0.0, 1.0, Tolerance(1e-300, 1e-300, 2))
+
+    @pytest.mark.parametrize("max_iter", [2, 10_000])
+    @pytest.mark.parametrize("f, exact", [
+        (lambda r: 1.0, 1.0), (lambda r: r, 0.5), (math.exp, math.e - 1)],
+        ids=["constant", "linear", "exp"])
+    def test_smallest_tolerance_runs_or_raises_integration_error(
+            self, f, exact, max_iter):
+        # tol / margin rounds to 0 here, which Tolerance would refuse
+        tiny = math.ulp(0.0)
+        try:
+            got = integrate_adaptive(f, 0.0, 1.0,
+                                     Tolerance(tiny, tiny, max_iter))
+        except IntegrationError:
+            return
+        assert got == pytest.approx(exact, rel=1e-12)
+
+
 class TestIntegrateOde:
     def test_exponential(self):
         (y,) = integrate_ode(lambda t, y: (y[0],), 0.0, (1.0,), 1.0)
