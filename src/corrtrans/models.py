@@ -23,6 +23,7 @@ instead of deciding every sample.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,6 +70,8 @@ __all__ = [
 ]
 
 TRANSFORM_KINDS = ("identity", "fisher", "optimal")
+
+_log = logging.getLogger(__name__)
 
 # every order 0 <= i, j with i + j <= 6, each at its value where it does not
 # depend on rho: odd orders of both laws are 0, and the rho entries are set
@@ -463,7 +466,13 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     and u = a; R = 0 is decided once.  A row's mass comes from cumulative
     sums of the level weights of Bin(m, 1/2), from the tail for outer runs
     and from the centre for inner ones, so every sum has positive terms;
-    the total is the sum of P(a) Bin(a, 1/2)(u) times that mass.
+    the total is the sum of P(a) Bin(a, 1/2)(u) times that mass.  Rows u
+    and a - u share R bit for bit too, as u -> a - u takes (sy, sz) to
+    (-sz, -sy): only the rows u <= a/2 are decided, and a row u < a/2
+    weighs 2 Bin(a, 1/2)(u), not Bin(a, 1/2)(u) + Bin(a, 1/2)(a - u), which
+    the log-factorial table rounds apart in the last bits (~1e-14 relative
+    in the result).  Each call logs its rows weighed, switch rows (ends
+    that disagree) and bisection rounds at DEBUG.
 
     Only atoms inside three windows that Hoeffding's inequality fixes in
     advance are weighed: with D = 1e-30 and l_a = ln(2 (n + 1) P(a) / D),
@@ -489,9 +498,13 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     # _rejected_mass's own check decides every a at its edge
     live = k[p_a > 0.5 * _WINDOW_MASS / (n + 1)]
     per_block = max(1, _ROWS_PER_BLOCK // (n + 1))
+    tally = np.zeros(3, np.int64)
     terms = [_rejected_mass(n, live[i:i + per_block], p_a, lf, rejects,
-                            corner)
+                            corner, tally=tally)
              for i in range(0, live.size, per_block)]
+    _log.debug("squarev_exact_rejection at rho=%r, n=%d, alpha=%r: %d rows "
+               "weighed, %d switch rows, %d bisection rounds", rho, n, alpha,
+               *tally.tolist())
     return min(1.0, math.fsum(terms))
 
 
@@ -503,13 +516,15 @@ def _pmf(lf: np.ndarray, m, k, log_p: float, log_q: float) -> np.ndarray:
 
 def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
                    rejects: Callable[[np.ndarray], np.ndarray],
-                   corner: bool, depth: float = -math.log(_WINDOW_MASS)
-                   ) -> float:
+                   corner: bool, depth: float = -math.log(_WINDOW_MASS),
+                   tally: np.ndarray | None = None) -> float:
     """Sum of P(a) Bin(a, 1/2)(u) times the rejected Bin(m, 1/2) mass of the
     row, over the rows (a, u) of the given a inside the oracle's windows
     for D = exp(-depth) (depth = inf keeps every atom); corner is whether
-    R = 0 rejects."""
+    R = 0 rejects.  The rows weighed, the switch rows and the bisection
+    rounds are added to tally, if given."""
     half = math.log(0.5)
+    tally = np.zeros(3, np.int64) if tally is None else tally
     # l_a = ln(2 (n + 1) P(a) / D); from l_a = n on, the windows hold every
     # u and level, and the cap keeps them finite at depth = inf
     ell = np.minimum(np.log(2.0 * (n + 1) * p_a[a]) + depth, n)
@@ -539,14 +554,16 @@ def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
     centre = np.zeros_like(outer)
     centre[:, :-1] = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
 
-    rows = a - 2 * u_lo + 1
+    # rows u = u_lo..a//2, each u < a/2 weighed for its mirror a - u too
+    rows = a // 2 - u_lo + 1
     row = np.repeat(np.arange(a.size), rows)
     u = np.arange(row.size) - np.repeat(np.cumsum(rows) - rows - u_lo, rows)
     q = p_a[a[row]] * _pmf(lf, a[row], u, half, half)
+    q[2 * u < a[row]] *= 2.0
     keep = q > 0.0  # rows of zero weight add exactly nothing
     row, u, q = row[keep], u[keep], q[keep]
     ra, top = a[row], m[row] // 2
-    edge = (u == 0) | (u == ra)  # level 0 of these rows is two corners
+    edge = u == 0  # level 0 of row 0, and of its mirror a, is two corners
     first = np.maximum(edge, low[row])  # outermost kept non-degenerate level
     has = first <= top
     p_out = has & rejects(_squarev_r(n, ra, u, np.minimum(first, top)))
@@ -556,7 +573,9 @@ def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
     cut = first.copy()
     todo = np.flatnonzero(p_out != p_in)
     lo, hi = first[todo], top[todo]
+    tally[:2] += row.size, todo.size
     while todo.size:
+        tally[2] += 1
         done = hi - lo <= 1
         cut[todo[done]] = hi[done]
         todo, lo, hi = todo[~done], lo[~done], hi[~done]

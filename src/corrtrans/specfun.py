@@ -172,7 +172,8 @@ def integrate_ode(
     tol: Tolerance = Tolerance(1e-12, 1e-12, 100_000),
 ) -> tuple[float, ...]:
     """Integrate y' = rhs(t, y) from t0 to t1 with Dormand-Prince 5(4);
-    a step with a non-finite state or error raises IntegrationError.
+    a step with a non-finite state or a NaN error raises IntegrationError,
+    and one whose error overflows to inf is rejected like any too large.
 
     The pair is first-same-as-last: the last stage of an accepted step is
     rhs at its new (t, y), and is kept as the next step's first stage, so
@@ -201,13 +202,13 @@ def integrate_ode(
                     yi[d] += h * aij * kj[d]
             ks.append(rhs(t + c * h, tuple(yi)))
         y5 = yi
-        err = 0.0
-        for d in dims:
-            scale = tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y5[d]))
-            err = max(err, abs(h * sum(e * ks[s][d] for s, e in _DP_E))
-                      / scale)
-        # max() drops a NaN term, so a NaN state would pass as a small error
-        if not (math.isfinite(err) and all(map(math.isfinite, y5))):
+        errs = [abs(h * sum(e * ks[s][d] for s, e in _DP_E))
+                / (tol.abs_tol + tol.rel_tol * max(abs(y[d]), abs(y5[d])))
+                for d in dims]
+        err = max(errs)
+        # max() may drop a NaN term, so each is checked; an error that
+        # overflows to inf only rejects the step, and h shrinks
+        if any(map(math.isnan, errs)) or not all(map(math.isfinite, y5)):
             raise IntegrationError(f"non-finite ODE step from t={t}")
         if err <= 1.0:
             accepted += 1

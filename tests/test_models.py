@@ -1,5 +1,10 @@
+import logging
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -890,7 +895,31 @@ class TestSquarevRowPremise:
     every row: with m = n - a, R(v) and R(m - v) agree bit for bit, R is
     monotone in |2v - m| over the non-degenerate atoms, and the degenerate
     atoms (constant Y or Z, R := 0) are exactly the four corners
-    u in {0, a}, v in {0, m}."""
+    u in {0, a}, v in {0, m}; and what its one row per mirror pair rests
+    on: R(u) and R(a - u) agree bit for bit."""
+
+    @staticmethod
+    def _mirrors_share_r(n, a, u, v):
+        # bit for bit: R of (a, u, v), of its row mirror (a, a - u, v) and of
+        # its level mirror (a, u, m - v)
+        r = mo._squarev_r(n, a, u, v).view(np.int64)
+        assert np.array_equal(r, mo._squarev_r(n, a, a - u, v).view(np.int64))
+        assert np.array_equal(r, mo._squarev_r(n, a, u, n - a - v)
+                              .view(np.int64))
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_both_mirrors_share_r_on_every_atom(self, n):
+        start, per_a = mo._squarev_first_atoms(n)
+        a = np.repeat(np.arange(n + 1), per_a)
+        self._mirrors_share_r(n, a, *np.divmod(np.arange(a.size) - start[a],
+                                               n + 1 - a))
+
+    @pytest.mark.parametrize("n", [1000, 10_000])
+    def test_both_mirrors_share_r_on_random_atoms(self, n):
+        rng = np.random.Generator(np.random.Philox(key=n))
+        a = rng.integers(0, n, 200_000, endpoint=True)
+        u = rng.integers(0, a, endpoint=True)
+        self._mirrors_share_r(n, a, u, rng.integers(0, n - a, endpoint=True))
 
     @pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
     def test_every_row(self, n):
@@ -1033,6 +1062,40 @@ class TestSquarevExactRejection:
             assert full == pytest.approx(p_a[a], rel=1e-11, abs=1e-300), a
             assert -1e-13 * full <= full - windowed <= \
                 2 * d / (n + 1) + 1e-13 * full, a
+
+    def test_logs_its_counters_at_debug(self, caplog):
+        # one row per mirror pair (u, a - u): at most a//2 + 1 rows per kept a
+        n, rho = 100, 0.5
+        lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+        p_a = mo._pmf(lf, n, np.arange(n + 1), math.log((1.0 + rho) / 2.0),
+                      math.log((1.0 - rho) / 2.0))
+        kept = np.flatnonzero(p_a > mo._WINDOW_MASS / (n + 1))
+        t = mo.transform_for(mo.SQUAREV, "optimal", Z05)
+        with caplog.at_level(logging.DEBUG, logger=mo.__name__):
+            mo.squarev_exact_rejection(rho, n, t, 0.05)
+        (record,) = [r for r in caplog.records if r.name == mo.__name__]
+        assert record.levelno == logging.DEBUG
+        weighed, switch, rounds = record.args[3:]
+        assert 0 < weighed <= np.sum(kept // 2 + 1)
+        assert 0 < switch <= weighed
+        assert 1 <= rounds <= 2 + math.log2(n)
+        assert record.getMessage() == (
+            f"squarev_exact_rejection at rho=0.5, n=100, alpha=0.05: "
+            f"{weighed} rows weighed, {switch} switch rows, "
+            f"{rounds} bisection rounds")
+
+    def test_silent_at_the_default_level(self):
+        src = str(Path(mo.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([path] if path else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrtrans.cli", "exact", "--rho", "0.5",
+             "--n", "100", "--alpha", "0.05", "--transform", "optimal"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("rejection probability = ")
+        assert proc.stderr == ""
 
     def test_memory_is_bounded_by_the_block(self):
         # in blocks of 2^16 rows the peak at n = 1000 is about 8 MiB; in one

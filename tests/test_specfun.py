@@ -304,6 +304,28 @@ class TestIntegrateOde:
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate_ode(rhs, 0.0, (1.0,), 1.0)
 
+    def test_nan_error_of_a_finite_state_raises(self):
+        # the 7th rhs call is the last stage, at the new state: y5 is finite
+        # and only the error is NaN, which max() alone would drop
+        calls = 0
+
+        def rhs(t, y):
+            nonlocal calls
+            calls += 1
+            return (math.nan if calls == 7 else 1.0,)
+
+        with pytest.raises(IntegrationError,
+                           match=r"^non-finite ODE step from t=0\.0$"):
+            integrate_ode(rhs, 0.0, (0.0,), 1.0)
+
+    def test_error_overflowing_to_inf_rejects_the_step(self):
+        # error / 5e-324 is inf for a finite step: h shrinks until the
+        # budget runs out
+        with pytest.raises(IntegrationError,
+                           match="did not converge within 50 steps"):
+            integrate_adaptive(math.exp, 0, 1,
+                               Tolerance(5e-324, 5e-324, 50))
+
     @pytest.mark.parametrize("rate", [1.0, -60.0], ids=["smooth", "stiff"])
     def test_first_stage_is_the_last_of_the_step_before(self, rate, caplog):
         # first-same-as-last: 1 + 6 rhs calls per attempted step, also
