@@ -40,7 +40,6 @@ from .pearson import (
     h_z,
     optimal_transform_numeric,
     sigma_rho,
-    skew_lambda,
     tau,
 )
 from .specfun import (

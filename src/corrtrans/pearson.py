@@ -28,8 +28,6 @@ __all__ = [
     "is_integer",
     "r_from_sums",
     "sigma_rho",
-    "skew_lambda",
-    "delta_r_tilde",
     "h_z",
     "optimal_transform_numeric",
     "delta_psi",
@@ -155,22 +153,6 @@ def sigma_rho(m: Moments, rho: float) -> float:
     return _sigma(m(rho), rho)
 
 
-def skew_lambda(m: Moments, rho: float) -> float:
-    """Third moment of Lambda = (YZ - (rho/2)(Y^2 + Z^2)) / sigma, from the
-    cubic expansion: a polynomial in rho with joint-moment coefficients."""
-    mu = m(rho)
-    return _skew(mu, rho, _sigma(mu, rho))
-
-
-def delta_r_tilde(m: Moments, rho: float, z: float) -> float:
-    """Polynomial part of the leading error term for R itself.
-
-    The full term is Delta_R(z) = phi(z) * delta_r_tilde / (96 sigma^3).
-    """
-    mu = m(rho)
-    return _delta_r_tilde(mu, rho, z, _sigma(mu, rho) ** 2)
-
-
 def h_z(m: Moments, rho: float, z: float) -> float:
     """Right-hand side of the optimality ODE psi''/psi' = h_z(rho)."""
     if z == 0.0 or not math.isfinite(z):
@@ -265,66 +247,35 @@ def tau(t: Transform, r_value: float, rho: float, sigma: float, n: int) -> float
     return _tau(t.psi(r_value), t.psi(rho), math.sqrt(n), dpsi * sigma)
 
 
-# the guarded bisection's cap on Newton steps, and its guard in units of
-# f's own rounding
-_NEWTON_STEPS = 8
-_GUARD_ULPS = 64
-_GUARDS = ("full bisection", "one-sided guard", "guard held")
+# the width of the bracket that r* is the midpoint of, well inside _TIE_BAND
+_ROOT_TOL = 1e-13
 
 
-def _bisection_ends(f: Callable[[float], float], df: Callable[[float], float],
-                    target: float, x: float) -> tuple[float, float, int, int]:
-    """(lo, hi, Newton steps, guards held) at the end of the bisection of
-    [-1, 1] that moves hi to each midpoint with f(mid) > target and lo to
-    the others, until lo and hi are neighbouring floats or after 80
-    midpoints; f increases, df is its derivative, x in (-1, 1) a guess.
+def _newton_root(f: Callable[[float], float], df: Callable[[float], float],
+                 target: float, x: float) -> tuple[float, float, int]:
+    """(lo, hi, Newton steps): hi - lo <= _ROOT_TOL, hi the last point with
+    f > target (1 if none) and lo the last other one (-1 if none), for an
+    increasing f with derivative df and a guess x in (-1, 1).
 
-    Newton steps from x, kept inside the bracket of the iterates so far,
-    run until a step is below g = _GUARD_ULPS max(ulp(x), ulp(target)/df(x)),
-    the width over which f moves by _GUARD_ULPS of its rounding errors, or
-    until one would be predicted to be.  Every iterate whose step exceeds g
-    guards its side of the root, and so do x - g and x + g once f there is
-    checked to bracket target.  The bisection is then replayed, calling f
-    only at midpoints between the guards.  Its ends are the plain
-    bisection's whenever f(mid) is on its guard's side of target at every
-    midpoint beyond a guard, as for an f that is monotone up to fewer than
-    _GUARD_ULPS rounding errors.  f is never called at -1 or 1.
+    Safeguarded Newton, as Numerical Recipes' rtsafe: each step aims
+    _ROOT_TOL / 2 past the root, so that a converged step closes the
+    bracket, and a step that leaves the bracket or is not half the Newton
+    step before it is replaced by the bracket's midpoint.  f is never
+    called at -1 or 1.
     """
-    below, above = -1.0, 1.0  # the guards; -1 and 1 guard nothing
-    steps, last = 0, math.nan
-    while steps < _NEWTON_STEPS:
-        fx, d = f(x), df(x)
-        steps += 1
-        move = (fx - target) / d if d > 0.0 else math.nan
-        if not math.isfinite(move):
-            break
-        g = _GUARD_ULPS * max(math.ulp(x), math.ulp(target) / d)
-        # converged, or quadratic convergence puts the next step below g/8
-        if abs(move) <= g or abs(move) * move * move <= 0.125 * g * last * last:
-            x -= move
-            if below < x - g < above and not f(x - g) > target:
-                below = x - g
-            if below < x + g < above and f(x + g) > target:
-                above = x + g
-            break
-        last = abs(move)
-        if move < 0.0:
-            below = x
+    lo, hi, last, steps = -1.0, 1.0, 2.0, 0
+    while hi - lo > _ROOT_TOL:
+        y, d = f(x) - target, df(x)
+        if y > 0.0:
+            hi, aim = x, -0.5 * _ROOT_TOL
         else:
-            above = x
-        x -= move
-        if not below < x < above:
-            x = 0.5 * (below + above)
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # lo and hi are neighbouring floats
-            break
-        if mid < below or (mid <= above and not f(mid) > target):
-            lo = mid
+            lo, aim = x, 0.5 * _ROOT_TOL
+        new = x - y / d + aim if d > 0.0 else math.nan
+        if lo < new < hi and abs(new - x) <= 0.5 * last:
+            steps, last, x = steps + 1, abs(new - x), new
         else:
-            hi = mid
-    return lo, hi, steps, (below > -1.0) + (above < 1.0)
+            x = 0.5 * (lo + hi)
+    return lo, hi, steps
 
 
 def _threshold(t: Transform, rho: float, sigma: float, n: int,
@@ -350,15 +301,14 @@ def _threshold(t: Transform, rho: float, sigma: float, n: int,
     guess = rho + z_alpha * sigma / root_n
     if not guess < 1.0:
         guess = 0.5 * (rho + 1.0)
-    lo, hi, steps, held = _bisection_ends(psi, t.dpsi, cut, guess)
+    lo, hi, steps = _newton_root(psi, t.dpsi, cut, guess)
     r_star = 0.5 * (lo + hi)
     # tau(1) only if nothing below 1 rejects: numeric psi stops short of 1
     if hi == 1.0 and not _tau(psi(1.0), psi_rho, root_n,
                               dpsi * sigma) > z_alpha:
         r_star = math.inf
     _log.debug("rejection_threshold at rho=%r, n=%d, z_alpha=%r: %d psi "
-               "calls, %d Newton steps, %s", rho, n, z_alpha, calls, steps,
-               _GUARDS[held])
+               "calls, %d Newton steps", rho, n, z_alpha, calls, steps)
     return r_star, psi_rho, dpsi * sigma
 
 
@@ -371,16 +321,16 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
     DegenerateModelError when psi(rho) absorbs the step
     z_alpha psi'(rho) sigma / sqrt(n) in rounding, which leaves r* undefined.
 
-    r* is the midpoint of the neighbouring floats that the bisection of
-    [-1, 1] on psi(R) > psi(rho) + z_alpha psi'(rho) sigma / sqrt(n) ends
-    on, found by guarded Newton steps from rho + z_alpha sigma / sqrt(n)
-    and a replay of the bisection that calls psi only near the root
-    (_bisection_ends): a median of 14 psi calls instead of ~55.  r* is the
-    plain bisection's bit for bit wherever psi is monotone outside the
-    guard of 64 units of its rounding.  R = 1 is asked only when no R below
-    it rejects, and psi never at -1 or 1, so a numeric transform, which
-    stops at |R| = 1 - 1e-6, has an r* too.  Each call logs its psi calls,
-    Newton steps and guards at DEBUG on the corrtrans.pearson logger.
+    r* is the midpoint of a bracket no wider than _ROOT_TOL = 1e-13 about
+    the root of psi(R) = psi(rho) + z_alpha psi'(rho) sigma / sqrt(n), well
+    inside the 1e-9 band in which rejection_rule decides R by tau itself.
+    One bracketed Newton solve (_newton_root) from rho + z_alpha sigma /
+    sqrt(n) finds it in a median of 6 psi calls, where the guarded replay of
+    the bisection before it took 14 and a plain bisection takes ~55.
+    R = 1 is asked only when no R below it rejects, and psi never at -1 or
+    1, so a numeric transform, which stops at |R| = 1 - 1e-6, has an r* too.
+    Each call logs its psi calls and Newton steps at DEBUG on the
+    corrtrans.pearson logger.
     """
     return _threshold(t, rho, sigma, n, normal_quantile(1.0 - alpha))[0]
 
@@ -389,8 +339,8 @@ def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
 # cannot flip an atom of a discrete R that sits on the threshold.  psi_closed
 # is not monotone at the ulp level even at ordinary exponents (SquareV at
 # z = 1.354803814772249, p = -0.15: psi(0.30151134457776335) >
-# psi(0.3015113445777634)), so no bisection, on psi or on tau, is sure to
-# place r* on the right side of every atom.
+# psi(0.3015113445777634)), so no root finder is sure to place r* on the
+# right side of every atom.
 _TIE_BAND = 1e-9
 
 
