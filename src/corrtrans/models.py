@@ -16,9 +16,9 @@ and v = #{Y = 1, W = -1} ~ Bin(n - a, 1/2), the (a, u, v) the oracle sums over.
 For n <= 512 u and v are popcounts of Y's n fair signs drawn as random bits,
 at most 8 words per sample; above it they are two binomials.  SquareV's R
 thus takes one value per triple (a, u, v), C(n + 3, 3) atoms in all: its
-`Lattice` numbers them, gives R of each, and draws atom numbers from the
-same (a, u, v) draws as `sample_r`, so Monte Carlo can count atoms
-instead of deciding every sample.
+`Lattice` numbers them and gives R and the probability P(a) Bin(a, 1/2)(u)
+Bin(n - a, 1/2)(v) of each, so Monte Carlo can draw how many of its
+samples fall on each atom, as one multinomial, instead of every sample.
 """
 
 from __future__ import annotations
@@ -170,8 +170,7 @@ def _squarev_sign_counts(n: int, a: np.ndarray, rng: np.random.Generator
 
 def _squarev_counts(rho: float, rows: int, n: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, u, v) of `rows` SquareV samples of size n: the one draw that both
-    R and the atom numbers are made from."""
+    """(a, u, v) of `rows` SquareV samples of size n."""
     a = rng.binomial(n, (1.0 + rho) / 2.0, rows)
     if n > _SQUAREV_BITS_MAX_N:
         return a, rng.binomial(a, 0.5), rng.binomial(n - a, 0.5)
@@ -183,29 +182,28 @@ def _squarev_sample_r(rho: float, rows: int, n: int,
     return _squarev_r(n, *_squarev_counts(rho, rows, n, rng))
 
 
-def _squarev_first_atoms(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """SquareV's atoms at n are the (a, u, v) with u <= a and v <= n - a,
-    numbered start[a] + u (n + 1 - a) + v: returns start and the
-    (a + 1)(n + 1 - a) atoms of each a, which sum to C(n + 3, 3)."""
+def _squarev_atoms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, u, v) of every SquareV atom at n, in atom order: the triples with
+    u <= a and v <= n - a, numbered start[a] + u (n + 1 - a) + v, where the
+    (a + 1)(n + 1 - a) atoms of each a sum to C(n + 3, 3)."""
     k = np.arange(n + 1)
     per_a = (k + 1) * (n + 1 - k)
-    return np.cumsum(per_a) - per_a, per_a
+    a = np.repeat(k, per_a)
+    start = np.cumsum(per_a) - per_a
+    return (a, *np.divmod(np.arange(a.size) - start[a], n + 1 - a))
 
 
-def _squarev_lattice_r(n: int) -> np.ndarray:
-    start, per_a = _squarev_first_atoms(n)
-    a = np.repeat(np.arange(n + 1), per_a)
-    return _squarev_r(n, a, *np.divmod(np.arange(a.size) - start[a],
-                                       n + 1 - a))
-
-
-def _squarev_sample_atoms(rho: float, rows: int, n: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    a, u, v = _squarev_counts(rho, rows, n, rng)
-    u *= n + 1 - a  # in place: concurrent tasks hold few arrays
-    u += v
-    u += _squarev_first_atoms(n)[0][a]
-    return u
+def _squarev_lattice_pmf(rho: float, n: int) -> np.ndarray:
+    """P(a) Bin(a, 1/2)(u) Bin(n - a, 1/2)(v) of every atom, in atom order,
+    normalised to sum 1."""
+    a, u, v = _squarev_atoms(n)
+    lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+    half = math.log(0.5)
+    pmf = _pmf(lf, n, a, math.log((1.0 + rho) / 2.0),
+               math.log((1.0 - rho) / 2.0))
+    pmf *= _pmf(lf, a, u, half, half)
+    pmf *= _pmf(lf, n - a, v, half, half)
+    return pmf / pmf.sum()
 
 
 @dataclass(frozen=True)
@@ -217,9 +215,8 @@ class Lattice:
     size: Callable[[int], int]
     # n -> R of every atom, in atom order, bit for bit the R sample_r draws
     r: Callable[[int], np.ndarray]
-    # (rho, rows, n, rng) -> atom numbers of `rows` samples, from the same
-    # draws as sample_r, so the two leave rng in the same state
-    sample: Callable[[float, int, int, np.random.Generator], np.ndarray]
+    # (rho, n) -> probability of every atom, in atom order, summing to 1
+    pmf: Callable[[float, int], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -278,8 +275,9 @@ SQUAREV = DependenceModel(
     odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
     delta_const=-1.0,
     fisher_slope=3.0,
-    lattice=Lattice(lambda n: math.comb(n + 3, 3), _squarev_lattice_r,
-                    _squarev_sample_atoms),
+    lattice=Lattice(lambda n: math.comb(n + 3, 3),
+                    lambda n: _squarev_r(n, *_squarev_atoms(n)),
+                    _squarev_lattice_pmf),
 )
 
 _MODELS = {"bvn": BVN, "squarev": SQUAREV}

@@ -18,9 +18,10 @@ oracle is.
 
 Where the model's R has at most N atoms at n (`DependenceModel.lattice`),
 each rule is decided once per atom instead, before the tasks start, and a
-task draws the same samples as atom numbers and sums its histogram over
-each rule's rejected atoms: the same counts from fewer temporaries, and
-with less of the task's time holding the GIL.
+task draws how many of its N samples fall on each atom as one
+Multinomial(N, pmf) vector and sums it over each rule's rejected atoms.
+Each count keeps its row-path law, Binomial(N, p), from other draws, and
+the task's time and memory are O(atoms) whatever N is.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ def _counter(model: _models.DependenceModel,
     """The task of one (rho, n): draw N values of R from a generator and
     return how many of them each rule rejects.  Where the model's R has at
     most N atoms, each rule is decided here, once per atom of lattice_r(n)
-    (default: the lattice's r), and a task counts the draws of each atom;
-    otherwise it decides every draw."""
+    (default: the lattice's r), and a task draws the N draws' histogram
+    over the atoms as one multinomial; otherwise it decides every draw."""
     lattice = model.lattice
     atoms = None if lattice is None else lattice.size(n)
     on_lattice = atoms is not None and atoms <= N
@@ -149,10 +150,11 @@ def _counter(model: _models.DependenceModel,
         return count
     r = (lattice_r or lattice.r)(n)
     rejected = np.array([rejects(r) for rejects in rules])  # rules x atoms
+    pmf = lattice.pmf(rho, n)
 
     def count_atoms(rng: np.random.Generator) -> list[int]:
-        hist = np.bincount(lattice.sample(rho, N, n, rng), minlength=atoms)
-        return (rejected @ hist).tolist()
+        # einsum casts rejected a buffer at a time; @ would copy all of it
+        return np.einsum("ij,j->i", rejected, rng.multinomial(N, pmf)).tolist()
     return count_atoms
 
 

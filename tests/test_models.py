@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -752,23 +753,42 @@ class TestSampleR:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 65, 200, 600])
     def test_squarev_atoms_draw_what_sample_r_draws(self, n):
-        # one seed: the atom numbers decode to the (a, u, v) whose R
-        # sample_r draws, bit for bit, and leave the generator alike; at
-        # n = 600 u and v are binomials
+        # one seed: the (a, u, v) that sample_r's R is made from, numbered
+        # start[a] + u (n + 1 - a) + v, are atoms of positive probability
+        # whose lattice R is that R bit for bit; at n = 600 u and v are
+        # binomials, and the lattice (36 million atoms) is not built
         lattice, rho, rows = mo.SQUAREV.lattice, 0.3, 20_000
-        r_rng, atom_rng = (np.random.Generator(np.random.Philox(key=81))
-                           for _ in range(2))
+        r_rng, count_rng = (np.random.Generator(np.random.Philox(key=81))
+                            for _ in range(2))
         r = mo.SQUAREV.sample_r(rho, rows, n, r_rng)
-        atoms = lattice.sample(rho, rows, n, atom_rng)
-        assert r_rng.random() == atom_rng.random()
-        assert 0 <= atoms.min() and atoms.max() < lattice.size(n)
-        start, _ = mo._squarev_first_atoms(n)
-        a = np.searchsorted(start, atoms, side="right") - 1
-        u, v = np.divmod(atoms - start[a], n + 1 - a)
-        assert np.all(u <= a)
+        a, u, v = mo._squarev_counts(rho, rows, n, count_rng)
+        assert r_rng.random() == count_rng.random()
+        assert np.all((0 <= u) & (u <= a) & (0 <= v) & (v <= n - a))
         assert np.array_equal(mo._squarev_r(n, a, u, v), r)
         if n <= 200:
+            k = np.arange(n + 1)
+            per_a = (k + 1) * (n + 1 - k)
+            atoms = np.cumsum(per_a)[a] - per_a[a] + u * (n + 1 - a) + v
+            assert atoms.max() < lattice.size(n)
             assert np.array_equal(lattice.r(n)[atoms], r)
+            assert np.all(lattice.pmf(rho, n)[atoms] > 0.0)
+
+    # rhos whose (1 + rho)/2 is exact in binary, so the reference is exact
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.25, -0.75])
+    def test_squarev_lattice_pmf_is_exact(self, rho, n):
+        # atom (a, u, v) has probability C(n, a) q^a (1 - q)^(n - a)
+        # C(a, u) C(n - a, v) / 2^n, q = (1 + rho)/2, in lexicographic order
+        pmf = mo.SQUAREV.lattice.pmf(rho, n)
+        q = Fraction((1.0 + rho) / 2.0)
+        want = [math.comb(n, a) * q ** a * (1 - q) ** (n - a)
+                * Fraction(math.comb(a, u) * math.comb(n - a, v), 2 ** n)
+                for a in range(n + 1) for u in range(a + 1)
+                for v in range(n - a + 1)]
+        assert len(pmf) == len(want) == mo.SQUAREV.lattice.size(n)
+        for got, p in zip(pmf.tolist(), want):
+            assert abs(Fraction(got) - p) <= Fraction(1, 10 ** 14) * p
+        assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_squarev_lattice_numbers_each_count_vector_once(self, n):
@@ -909,10 +929,7 @@ class TestSquarevRowPremise:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_both_mirrors_share_r_on_every_atom(self, n):
-        start, per_a = mo._squarev_first_atoms(n)
-        a = np.repeat(np.arange(n + 1), per_a)
-        self._mirrors_share_r(n, a, *np.divmod(np.arange(a.size) - start[a],
-                                               n + 1 - a))
+        self._mirrors_share_r(n, *mo._squarev_atoms(n))
 
     @pytest.mark.parametrize("n", [1000, 10_000])
     def test_both_mirrors_share_r_on_random_atoms(self, n):

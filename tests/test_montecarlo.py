@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -202,32 +203,75 @@ class TestRunCell:
         assert hats[0] == hats[1]
 
 
+# the bench's level for a count against its exact probability
+BINOMIAL_TAIL_LEVEL = 1e-7
+
+
+def _binomial_consistent(count, trials, p):
+    """True unless count lies in a tail of Binomial(trials, p) of
+    probability below BINOMIAL_TAIL_LEVEL, the tail from count outwards on
+    its side of the mean; p = 0 or 1 demands the one possible count."""
+    if p in (0.0, 1.0):
+        return count == trials * p
+    log_p, log_q = math.log(p), math.log1p(-p)
+    tail = 0.0
+    for k in (range(count, trials + 1) if count >= trials * p
+              else range(count, -1, -1)):
+        term = math.exp(math.lgamma(trials + 1.0) - math.lgamma(k + 1.0)
+                        - math.lgamma(trials - k + 1.0) + k * log_p
+                        + (trials - k) * log_q)
+        tail += term  # terms fall away from the mean: stop once negligible
+        if tail >= BINOMIAL_TAIL_LEVEL or term <= 1e-17 * tail:
+            break
+    return tail >= BINOMIAL_TAIL_LEVEL
+
+
 class TestLatticePath:
-    """Where SquareV's R has at most N atoms, a task counts the draws of
-    each atom and each rule is decided once per atom; on the same substream
-    it must count what deciding every draw counts."""
+    """Where SquareV's R has at most N atoms, a task draws its histogram of
+    N atoms as one multinomial and each rule is decided once per atom; each
+    rule's count must have the law of the row path's count, the Binomial(N,
+    p) of the rule's exact rejection probability p."""
 
     ROWS_ONLY = dataclasses.replace(mo.SQUAREV, lattice=None)
     N = 12_000  # C(42, 3) = 11,480 atoms at n = 39
 
     @staticmethod
-    def rules(rho, n):
-        sigma = mo.SQUAREV.sigma(rho)
-        return [pe.rejection_rule(
-                    mo.transform_for(mo.SQUAREV, kind,
-                                     normal_quantile(1.0 - alpha)),
-                    rho, sigma, n, alpha)
+    def levels():
+        return [(alpha, mo.transform_for(mo.SQUAREV, kind,
+                                         normal_quantile(1.0 - alpha)))
                 for alpha in (0.05, 0.01) for kind in mo.TRANSFORM_KINDS]
+
+    @classmethod
+    def rules(cls, rho, n):
+        sigma = mo.SQUAREV.sigma(rho)
+        return [pe.rejection_rule(t, rho, sigma, n, alpha)
+                for alpha, t in cls.levels()]
+
+    @classmethod
+    def check_against_the_oracle(cls, rules, exact, rho, n, N, rng_key):
+        """The pmf of each rule's rejected atoms sums to its exact
+        probability, and on one substream the counts of both paths lie
+        inside that probability's Binomial(N, p) tails."""
+        lattice = mo.SQUAREV.lattice
+        r, pmf = lattice.r(n), lattice.pmf(rho, n)
+        for rejects, p in zip(rules, exact):
+            assert math.fsum(pmf[rejects(r)]) == pytest.approx(
+                p, rel=1e-13, abs=3e-30)  # the oracle leaves out <= 3e-30
+        counts = [mc._counter(model, rules, rho, n, N)(mc.substream(*rng_key))
+                  for model in (mo.SQUAREV, cls.ROWS_ONLY)]
+        for got in counts:
+            for count, p in zip(got, exact):
+                assert _binomial_consistent(count, N, p), (count, p)
+        return counts[0]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 20, 39])
     @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, 0.99])
     def test_counts_as_the_row_path(self, rho, n):
         assert mo.SQUAREV.lattice.size(n) <= self.N
-        rules = self.rules(rho, n)
-        got, want = (mc._counter(model, rules, rho, n, self.N)(
-                         mc.substream(5, n, 0))
-                     for model in (mo.SQUAREV, self.ROWS_ONLY))
-        assert got == want
+        exact = [mo.squarev_exact_rejection(rho, n, t, alpha)
+                 for alpha, t in self.levels()]
+        self.check_against_the_oracle(self.rules(rho, n), exact, rho, n,
+                                      self.N, (5, n, 0))
 
     def test_atom_in_the_tie_band(self):
         # test_squarev_atom_on_the_threshold's atom: R(a=2, u=1, v=0) at
@@ -240,18 +284,39 @@ class TestLatticePath:
                                         alpha)
         assert abs(r0 - r_star) <= pe._TIE_BAND
         rules = [pe.rejection_rule(t, rho, mo.SQUAREV.sigma(rho), n, alpha)]
-        got, want = (mc._counter(model, rules, rho, n, 5000)(
-                         mc.substream(7, 0, 0))
-                     for model in (mo.SQUAREV, self.ROWS_ONLY))
-        assert got == want
+        exact = [mo.squarev_exact_rejection(rho, n, t, alpha)]
+        got = self.check_against_the_oracle(rules, exact, rho, n, 5000,
+                                            (7, 0, 0))
         assert 0 < got[0] < 5000
 
     def test_run_cell_counts_as_the_row_path(self):
         t = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.95))
-        hats = [mc.run_cell(model, t, 0.05, 0.5, 10, 4000,
-                            mc.substream(3, 0, 0))
-                for model in (mo.SQUAREV, self.ROWS_ONLY)]
-        assert hats[0] == hats[1]
+        exact = mo.squarev_exact_rejection(0.5, 10, t, 0.05)
+        for model in (mo.SQUAREV, self.ROWS_ONLY):
+            hat = mc.run_cell(model, t, 0.05, 0.5, 10, 4000,
+                              mc.substream(3, 0, 0))
+            assert _binomial_consistent(round(hat * 4000), 4000, exact)
+
+    def test_task_memory_does_not_grow_with_N(self):
+        # a lattice task holds its histogram and buffers of the atoms' size,
+        # not its N draws: at n = 39 (11,480 atoms) the peak of one task at
+        # N = 10^6 is within 64 KiB of its peak at N = 12,000, and both are
+        # below 1 MiB (the N rows of the row path take 8 MB per array)
+        n, rho = 39, 0.5
+        counters = [mc._counter(mo.SQUAREV, self.rules(rho, n), rho, n, N)
+                    for N in (self.N, 10 ** 6)]
+        peaks = []
+        tracemalloc.start()
+        try:
+            for count in counters:
+                rng = mc.substream(1, 0, 0)
+                tracemalloc.reset_peak()
+                count(rng)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= peaks[0] + 64 * 2 ** 10, peaks
+        assert max(peaks) < 2 ** 20, peaks
 
     def test_run_grid_builds_each_n_lattice_once(self, monkeypatch):
         # R of the atoms depends on n alone: one array per n within a run,
@@ -383,26 +448,41 @@ class TestRunGrid:
 
     def test_cells_follow_the_documented_recipe(self, monkeypatch):
         # the draw index counts product(rhos, ns) (rho, then n), worker_index
-        # runs over 0..K-1, and every alpha's rules count the same N draws
+        # runs over 0..K-1, and every alpha's rules count the same N draws:
+        # N values of R, or where the model has at most N atoms at n (here
+        # SquareV at n = 10, not at n = 20) one multinomial histogram of
+        # them, summed over each rule's rejected atoms
         monkeypatch.setenv(mc.THREADS_ENV, "1")
-        grid = mc.ExperimentGrid("bvn", (0.05, 0.01), (0.0, 0.5), (10, 20),
-                                 N=500, K=2, master_seed=9)
-        model = mo.get_model(grid.model)
-        results = mc.run_grid(grid)
-        for d, (rho, n) in enumerate(itertools.product(grid.rhos, grid.ns)):
-            draws = []
-            for k in range(grid.K):
-                seq = np.random.SeedSequence(grid.master_seed,
-                                             spawn_key=(d, k))
-                rng = np.random.Generator(np.random.Philox(seq))
-                draws.append(model.sample_r(rho, grid.N, n, rng))
-            for alpha, kind in itertools.product(grid.alphas, grid.transforms):
-                z = normal_quantile(1.0 - alpha)
-                rule = pe.rejection_rule(mo.transform_for(model, kind, z),
-                                         rho, model.sigma(rho), n, alpha)
-                hats = tuple(np.count_nonzero(rule(r)) / grid.N
-                             for r in draws)
-                assert results[(kind, alpha, rho, n)].alpha_hats == hats
+        paths = set()
+        for name in ("bvn", "squarev"):
+            grid = mc.ExperimentGrid(name, (0.05, 0.01), (0.0, 0.5),
+                                     (10, 20), N=500, K=2, master_seed=9)
+            model = mo.get_model(grid.model)
+            lattice = model.lattice
+            results = mc.run_grid(grid)
+            for d, (rho, n) in enumerate(itertools.product(grid.rhos,
+                                                           grid.ns)):
+                on_lattice = lattice is not None and lattice.size(n) <= grid.N
+                paths.add((name, n, on_lattice))
+                draws = []
+                for k in range(grid.K):
+                    seq = np.random.SeedSequence(grid.master_seed,
+                                                 spawn_key=(d, k))
+                    rng = np.random.Generator(np.random.Philox(seq))
+                    draws.append(
+                        rng.multinomial(grid.N, lattice.pmf(rho, n))
+                        if on_lattice else model.sample_r(rho, grid.N, n, rng))
+                for alpha, kind in itertools.product(grid.alphas,
+                                                     grid.transforms):
+                    z = normal_quantile(1.0 - alpha)
+                    rule = pe.rejection_rule(mo.transform_for(model, kind, z),
+                                             rho, model.sigma(rho), n, alpha)
+                    hats = tuple((rule(lattice.r(n)) @ draw if on_lattice
+                                  else np.count_nonzero(rule(draw))) / grid.N
+                                 for draw in draws)
+                    assert results[(kind, alpha, rho, n)].alpha_hats == hats
+        assert paths == {("bvn", 10, False), ("bvn", 20, False),
+                         ("squarev", 10, True), ("squarev", 20, False)}
 
     @pytest.mark.parametrize("model", ["bvn", "squarev"])
     def test_one_alpha_keeps_the_per_cell_stream(self, monkeypatch, model):
@@ -561,7 +641,7 @@ class TestStreamDigest:
     }
     DIGESTS = {
         "squarev-lattice":
-            "cc861fe4941de37a047290e62bbcb82b035c3e73ea5f7a55aeb5a150bed9bc5c",
+            "051c41236c0d2cf473d8e9be590670af70c9a868c005c8df91e2729552c52c36",
         "squarev-bits":
             "fa0c295fe8c454d67fe5504287426ea51fd08e41175b0e3b2a2bd61c5d901ca2",
         "squarev-binomials":
