@@ -487,19 +487,19 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
         raise ValueError(f"exact enumeration requires an integer "
                          f"1 <= n <= 10000, got n={n!r}")
     lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
-    k = np.arange(n + 1)
-    p_a = _pmf(lf, n, k, math.log((1.0 + rho) / 2.0),
+    p_a = _pmf(lf, n, np.arange(n + 1), math.log((1.0 + rho) / 2.0),
                math.log((1.0 - rho) / 2.0))
     rejects = rejection_rule(t, rho, SQUAREV.sigma(rho), n, alpha)
     corner = bool(rejects(np.zeros(1))[0])
-    # the a-window P(a) > D/(n + 1) before blocking, halved so that
-    # _rejected_mass's own check decides every a at its edge
-    live = k[p_a > 0.5 * _WINDOW_MASS / (n + 1)]
+    # l_a = ln(2 (n + 1) P(a) / D) > ln 2 is the a-window P(a) > D/(n + 1)
+    a = np.flatnonzero(p_a)
+    ell = np.log(2.0 * (n + 1) * p_a[a]) - math.log(_WINDOW_MASS)
+    a, ell = a[ell > math.log(2.0)], ell[ell > math.log(2.0)]
     per_block = max(1, _ROWS_PER_BLOCK // (n + 1))
     tally = np.zeros(3, np.int64)
-    terms = [_rejected_mass(n, live[i:i + per_block], p_a, lf, rejects,
-                            corner, tally=tally)
-             for i in range(0, live.size, per_block)]
+    terms = [_rejected_mass(n, a[i:i + per_block], ell[i:i + per_block], p_a,
+                            lf, rejects, corner, tally)
+             for i in range(0, a.size, per_block)]
     _log.debug("squarev_exact_rejection at rho=%r, n=%d, alpha=%r: %d rows "
                "weighed, %d switch rows, %d bisection rounds", rho, n, alpha,
                *tally.tolist())
@@ -512,24 +512,15 @@ def _pmf(lf: np.ndarray, m, k, log_p: float, log_q: float) -> np.ndarray:
     return np.exp(lf[m] - lf[k] - lf[m - k] + k * log_p + (m - k) * log_q)
 
 
-def _rejected_mass(n: int, a: np.ndarray, p_a: np.ndarray, lf: np.ndarray,
-                   rejects: Callable[[np.ndarray], np.ndarray],
-                   corner: bool, depth: float = -math.log(_WINDOW_MASS),
-                   tally: np.ndarray | None = None) -> float:
+def _rejected_mass(n: int, a: np.ndarray, ell: np.ndarray, p_a: np.ndarray,
+                   lf: np.ndarray, rejects: Callable[[np.ndarray], np.ndarray],
+                   corner: bool, tally: np.ndarray) -> float:
     """Sum of P(a) Bin(a, 1/2)(u) times the rejected Bin(m, 1/2) mass of the
-    row, over the rows (a, u) of the given a inside the oracle's windows
-    for D = exp(-depth) (depth = inf keeps every atom); corner is whether
-    R = 0 rejects.  The rows weighed, the switch rows and the bisection
-    rounds are added to tally, if given."""
+    row, over the rows (a, u) of the given a inside the oracle's u- and
+    level windows of depth ell = l_a (ell = n keeps every u and level);
+    corner is whether R = 0 rejects.  The rows weighed, the switch rows and
+    the bisection rounds are added to tally."""
     half = math.log(0.5)
-    tally = np.zeros(3, np.int64) if tally is None else tally
-    # l_a = ln(2 (n + 1) P(a) / D); from l_a = n on, the windows hold every
-    # u and level, and the cap keeps them finite at depth = inf
-    ell = np.minimum(np.log(2.0 * (n + 1) * p_a[a]) + depth, n)
-    kept = ell > math.log(2.0)  # P(a) > D/(n + 1)
-    a, ell = a[kept], ell[kept]
-    if not a.size:
-        return 0.0
     m = n - a
 
     def lowest(k):  # lowest count of Bin(k, 1/2) kept, of a window about k/2

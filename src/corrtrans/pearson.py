@@ -32,7 +32,6 @@ __all__ = [
     "optimal_transform_numeric",
     "delta_psi",
     "tau",
-    "rejection_threshold",
     "rejection_rule",
     "assemble_statistic_model",
 ]
@@ -84,7 +83,7 @@ def r_from_sums(n: int, sy, sz, syy, szz, syz) -> np.ndarray:
     return np.clip(r, -1.0, 1.0, out=r)
 
 
-def _sigma(mu: Mapping, rho: float) -> float:
+def _variance(mu: Mapping, rho: float) -> float:
     radicand = (
         rho * rho * (mu[0, 4] + 2.0 * mu[2, 2] + mu[4, 0])
         - 4.0 * rho * (mu[1, 3] + mu[3, 1])
@@ -92,7 +91,7 @@ def _sigma(mu: Mapping, rho: float) -> float:
     )
     if not radicand > 0.0:
         raise DegenerateModelError(f"model degenerate at rho={rho}")
-    return 0.5 * math.sqrt(radicand)
+    return 0.25 * radicand
 
 
 def _skew(mu: Mapping, rho: float, s: float) -> float:
@@ -107,59 +106,59 @@ def _skew(mu: Mapping, rho: float, s: float) -> float:
     return w3 / s ** 3
 
 
-def _delta_r_tilde(mu: Mapping, rho: float, z: float, s2: float) -> float:
-    t = z * z
+def _delta_pq(mu: Mapping, rho: float, s2: float) -> tuple[float, float]:
+    """(P, Q) with 96 sigma^3 Delta_R(z) / phi(z) = P + Q z^2."""
     m03, m04, m06 = mu[0, 3], mu[0, 4], mu[0, 6]
     m12, m13, m15 = mu[1, 2], mu[1, 3], mu[1, 5]
     m21, m22, m24 = mu[2, 1], mu[2, 2], mu[2, 4]
     m30, m31, m33 = mu[3, 0], mu[3, 1], mu[3, 3]
     m40, m42, m51, m60 = mu[4, 0], mu[4, 2], mu[5, 1], mu[6, 0]
-    term0 = 16.0 * (
-        (t - 1.0) * (6.0 * m12 * m21 - m33)
-        + 3.0 * s2 * t * (m13 + m31)
-    )
-    term1 = -12.0 * rho * (
-        (t - 1.0) * (
+    # the part that multiplies z^2 - 1
+    x = (
+        16.0 * (6.0 * m12 * m21 - m33)
+        - 12.0 * rho * (
             4.0 * m03 * m21 + 4.0 * m12 * m30
             + 8.0 * m12 ** 2 - 2.0 * m13 * m31
             + m13 ** 2 + 8.0 * m21 ** 2 - 2.0 * m24
             + m31 ** 2 - 2.0 * m42
         )
-        + s2 * (
-            (2.0 * t + 1.0) * (m04 + m40)
-            + (4.0 * t - 2.0) * m22
+        + 12.0 * rho * rho * (
+            2.0 * m03 * (3.0 * m12 + m30)
+            + m04 * (m13 - m31)
+            + 10.0 * m12 * m21
+            - m13 * m40 - m15
+            + 6.0 * m21 * m30
+            + m31 * m40 - 2.0 * m33 - m51
+        )
+        - rho ** 3 * (
+            24.0 * m03 * m21 + 12.0 * m03 ** 2
+            - 6.0 * m04 * m40 + 3.0 * m04 ** 2 - 2.0 * m06
+            + 24.0 * m12 * m30 + 12.0 * m12 ** 2
+            + 12.0 * m21 ** 2 - 6.0 * m24 + 12.0 * m30 ** 2
+            + 3.0 * m40 ** 2 - 6.0 * m42 - 2.0 * m60
         )
     )
-    term2 = 12.0 * rho * rho * (t - 1.0) * (
-        2.0 * m03 * (3.0 * m12 + m30)
-        + m04 * (m13 - m31)
-        + 10.0 * m12 * m21
-        - m13 * m40 - m15
-        + 6.0 * m21 * m30
-        + m31 * m40 - 2.0 * m33 - m51
-    )
-    term3 = -(rho ** 3) * (t - 1.0) * (
-        24.0 * m03 * m21 + 12.0 * m03 ** 2
-        - 6.0 * m04 * m40 + 3.0 * m04 ** 2 - 2.0 * m06
-        + 24.0 * m12 * m30 + 12.0 * m12 ** 2
-        + 12.0 * m21 ** 2 - 6.0 * m24 + 12.0 * m30 ** 2
-        + 3.0 * m40 ** 2 - 6.0 * m42 - 2.0 * m60
-    )
-    return term0 + term1 + term2 + term3
+    p = -x - 12.0 * rho * s2 * (m04 + m40 - 2.0 * m22)
+    q = (x + 48.0 * s2 * (m13 + m31)
+         - 24.0 * rho * s2 * (m04 + m40 + 2.0 * m22))
+    return p, q
 
 
 def sigma_rho(m: Moments, rho: float) -> float:
     """Asymptotic standard deviation of sqrt(n)(R - rho)."""
-    return _sigma(m(rho), rho)
+    return math.sqrt(_variance(m(rho), rho))
 
 
 def h_z(m: Moments, rho: float, z: float) -> float:
-    """Right-hand side of the optimality ODE psi''/psi' = h_z(rho)."""
-    if z == 0.0 or not math.isfinite(z):
-        raise ValueError("h_z requires a finite z != 0")
+    """Right-hand side of the optimality ODE psi''/psi' = h_z(rho), for
+    every finite z whose square does not underflow to 0; where z^2
+    overflows it is the limit Q / (48 sigma^4)."""
+    if z * z == 0.0 or not math.isfinite(z):
+        raise ValueError("h_z requires a finite z with z^2 > 0")
     mu = m(rho)
-    s = _sigma(mu, rho)
-    return _delta_r_tilde(mu, rho, z, s ** 2) / (48.0 * s ** 4 * z * z)
+    s2 = _variance(mu, rho)
+    p, q = _delta_pq(mu, rho, s2)
+    return (p / (z * z) + q) / (48.0 * s2 ** 2)
 
 
 def optimal_transform_numeric(m: Moments, z: float) -> Transform:
@@ -172,12 +171,10 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
     the stepper's last two stages share a node, and an integration starts
     where the previous one ended.
     """
-    if z == 0.0 or not math.isfinite(z):
-        raise ValueError("optimal transform requires a finite z != 0")
-
     # (r, h_z(r)) of the latest node, one tuple so that threads calling psi
-    # at once never pair one call's r with another's h
-    node = (math.nan, math.nan)
+    # at once never pair one call's r with another's h; h_z at the first
+    # node, 0, refuses a z it is not defined at before any psi is asked
+    node = (0.0, h_z(m, 0.0, z))
 
     def rhs(r: float, y: tuple[float, ...]) -> tuple[float, ...]:
         nonlocal node
@@ -190,7 +187,7 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
     points = [(0.0, 0.0, 1.0)]
 
     def state_at(rho_abs: float) -> tuple[float, float]:
-        if rho_abs > NUMERIC_RHO_LIMIT:
+        if not rho_abs <= NUMERIC_RHO_LIMIT:  # NaN included
             raise ValueError("numeric transform valid only on |rho| <= 1 - 1e-6")
         start = points[bisect.bisect(points, (rho_abs, math.inf)) - 1]
         if start[0] == rho_abs:
@@ -212,16 +209,23 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
 def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
     mu = m(rho)
-    s = _sigma(mu, rho)
+    s2 = _variance(mu, rho)
+    s = math.sqrt(s2)
     phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
-    delta_r = phi * _delta_r_tilde(mu, rho, z, s ** 2) / (96.0 * s ** 3)
+    p, q = _delta_pq(mu, rho, s2)
+    delta_r = phi * (p + q * z * z) / (96.0 * s ** 3)
     correction = 0.5 * t.dlog_dpsi(rho) * s * z * z * phi
     return delta_r - correction if phi > 0.0 else 0.0
 
 
-def _checked_dpsi(t: Transform, rho: float, sigma: float) -> float:
-    """psi'(rho), after checking that the scale psi'(rho) sigma of the tau
-    statistic is positive (it underflows for steep optimal transforms)."""
+def _checked_dpsi(t: Transform, rho: float, sigma: float, n: int) -> float:
+    """psi'(rho), after checking that n >= 1, |rho| <= 1 and the scale
+    psi'(rho) sigma of the tau statistic is positive (it underflows for
+    steep optimal transforms)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if abs(rho) > 1.0:  # a NaN rho passes, to fail as degenerate
+        raise ValueError(f"rho must lie in [-1, 1], got rho={rho}")
     dpsi = t.dpsi(rho)
     if not dpsi * sigma > 0.0:
         raise DegenerateModelError(
@@ -241,9 +245,7 @@ def tau(t: Transform, r_value: float, rho: float, sigma: float, n: int) -> float
     """Asymptotically standardized value of psi(R): use tau > z_alpha to reject."""
     if not -1.0 <= r_value <= 1.0:
         raise ValueError("r_value must lie in [-1, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dpsi = _checked_dpsi(t, rho, sigma)
+    dpsi = _checked_dpsi(t, rho, sigma, n)
     return _tau(t.psi(r_value), t.psi(rho), math.sqrt(n), dpsi * sigma)
 
 
@@ -252,10 +254,10 @@ _ROOT_TOL = 1e-13
 
 
 def _newton_root(f: Callable[[float], float], df: Callable[[float], float],
-                 target: float, x: float) -> tuple[float, float, int]:
-    """(lo, hi, Newton steps): hi - lo <= _ROOT_TOL, hi the last point with
-    f > target (1 if none) and lo the last other one (-1 if none), for an
-    increasing f with derivative df and a guess x in (-1, 1).
+                 target: float, x: float) -> tuple[float, float, int, int]:
+    """(lo, hi, f calls, Newton steps): hi - lo <= _ROOT_TOL, hi the last
+    point with f > target (1 if none) and lo the last other one (-1 if
+    none), for an increasing f with derivative df and a guess x in (-1, 1).
 
     Safeguarded Newton, as Numerical Recipes' rtsafe: each step aims
     _ROOT_TOL / 2 past the root, so that a converged step closes the
@@ -263,9 +265,9 @@ def _newton_root(f: Callable[[float], float], df: Callable[[float], float],
     step before it is replaced by the bracket's midpoint.  f is never
     called at -1 or 1.
     """
-    lo, hi, last, steps = -1.0, 1.0, 2.0, 0
+    lo, hi, last, calls, steps = -1.0, 1.0, 2.0, 0, 0
     while hi - lo > _ROOT_TOL:
-        y, d = f(x) - target, df(x)
+        y, d, calls = f(x) - target, df(x), calls + 1
         if y > 0.0:
             hi, aim = x, -0.5 * _ROOT_TOL
         else:
@@ -275,64 +277,7 @@ def _newton_root(f: Callable[[float], float], df: Callable[[float], float],
             steps, last, x = steps + 1, abs(new - x), new
         else:
             x = 0.5 * (lo + hi)
-    return lo, hi, steps
-
-
-def _threshold(t: Transform, rho: float, sigma: float, n: int,
-               z_alpha: float) -> tuple[float, float, float]:
-    """r*, and the psi(rho) and psi'(rho) sigma that tau reads."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dpsi = _checked_dpsi(t, rho, sigma)
-    psi_rho = t.psi(rho)
-    root_n = math.sqrt(n)
-    cut = psi_rho + z_alpha * dpsi * sigma / root_n
-    if cut == psi_rho and z_alpha != 0.0:
-        raise DegenerateModelError(f"psi(rho) = {psi_rho} absorbs z_alpha "
-                                   f"psi'(rho) sigma / sqrt(n) at rho={rho}")
-    calls = 1
-
-    def psi(r: float) -> float:
-        nonlocal calls
-        calls += 1
-        return t.psi(r)
-
-    # the root of psi's tangent at rho; past 1, halfway from rho to 1
-    guess = rho + z_alpha * sigma / root_n
-    if not guess < 1.0:
-        guess = 0.5 * (rho + 1.0)
-    lo, hi, steps = _newton_root(psi, t.dpsi, cut, guess)
-    r_star = 0.5 * (lo + hi)
-    # tau(1) only if nothing below 1 rejects: numeric psi stops short of 1
-    if hi == 1.0 and not _tau(psi(1.0), psi_rho, root_n,
-                              dpsi * sigma) > z_alpha:
-        r_star = math.inf
-    _log.debug("rejection_threshold at rho=%r, n=%d, z_alpha=%r: %d psi "
-               "calls, %d Newton steps", rho, n, z_alpha, calls, steps)
-    return r_star, psi_rho, dpsi * sigma
-
-
-def rejection_threshold(t: Transform, rho: float, sigma: float, n: int,
-                        alpha: float) -> float:
-    """Critical value r* such that tau > z_alpha iff R > r*.
-
-    psi is strictly increasing, so the tau test inverts to a one-sided test
-    on R itself; returns +inf when not even R = 1 has tau > z_alpha.  Raises
-    DegenerateModelError when psi(rho) absorbs the step
-    z_alpha psi'(rho) sigma / sqrt(n) in rounding, which leaves r* undefined.
-
-    r* is the midpoint of a bracket no wider than _ROOT_TOL = 1e-13 about
-    the root of psi(R) = psi(rho) + z_alpha psi'(rho) sigma / sqrt(n), well
-    inside the 1e-9 band in which rejection_rule decides R by tau itself.
-    One bracketed Newton solve (_newton_root) from rho + z_alpha sigma /
-    sqrt(n) finds it in a median of 6 psi calls, where the guarded replay of
-    the bisection before it took 14 and a plain bisection takes ~55.
-    R = 1 is asked only when no R below it rejects, and psi never at -1 or
-    1, so a numeric transform, which stops at |R| = 1 - 1e-6, has an r* too.
-    Each call logs its psi calls and Newton steps at DEBUG on the
-    corrtrans.pearson logger.
-    """
-    return _threshold(t, rho, sigma, n, normal_quantile(1.0 - alpha))[0]
+    return lo, hi, calls, steps
 
 
 # An R this close to r* is decided by tau itself, so that the rounding of r*
@@ -346,13 +291,44 @@ _TIE_BAND = 1e-9
 
 def rejection_rule(t: Transform, rho: float, sigma: float, n: int,
                    alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The test tau > z_alpha as a predicate on an array of R values: R > r*
-    rejects, and each distinct R within _TIE_BAND of r* is decided by tau,
-    once per value (a lattice R puts many draws on one value), from
-    psi(rho) and psi'(rho) sigma computed once, with the rule."""
+    """The test tau > z_alpha as a predicate on an array of R values, with
+    the critical value r* as its `r_star` attribute: psi is increasing, so
+    tau > z_alpha iff R > r*, and r* = +inf when not even R = 1 rejects.
+    Raises DegenerateModelError when psi(rho) absorbs the step
+    z_alpha psi'(rho) sigma / sqrt(n) in rounding, which leaves r* undefined.
+
+    r* is the midpoint of a bracket no wider than _ROOT_TOL = 1e-13 about
+    the root of psi(R) = psi(rho) + z_alpha psi'(rho) sigma / sqrt(n), found
+    by one bracketed Newton solve (_newton_root) from rho + z_alpha sigma /
+    sqrt(n) in a median of 6 psi calls.  Each distinct R within the 1e-9
+    _TIE_BAND of r* is decided by tau itself, once per value (a lattice R
+    puts many draws on one value), from the psi(rho) and psi'(rho) sigma
+    computed here.  R = 1 is asked only when no R below it rejects, and psi
+    never at -1 or 1, so a numeric transform, which stops at |R| = 1 - 1e-6,
+    has an r* too.  Each call logs its psi calls and Newton steps at DEBUG
+    on the corrtrans.pearson logger.
+    """
     z_alpha = normal_quantile(1.0 - alpha)
-    r_star, psi_rho, scale = _threshold(t, rho, sigma, n, z_alpha)
+    dpsi = _checked_dpsi(t, rho, sigma, n)
+    psi_rho = t.psi(rho)
     root_n = math.sqrt(n)
+    scale = dpsi * sigma
+    cut = psi_rho + z_alpha * dpsi * sigma / root_n
+    if cut == psi_rho and z_alpha != 0.0:
+        raise DegenerateModelError(f"psi(rho) = {psi_rho} absorbs z_alpha "
+                                   f"psi'(rho) sigma / sqrt(n) at rho={rho}")
+    # the root of psi's tangent at rho; past 1, halfway from rho to 1
+    guess = rho + z_alpha * sigma / root_n
+    if not guess < 1.0:
+        guess = 0.5 * (rho + 1.0)
+    lo, hi, calls, steps = _newton_root(t.psi, t.dpsi, cut, guess)
+    r_star = 0.5 * (lo + hi)
+    # tau(1) only if nothing below 1 rejects: numeric psi stops short of 1
+    if hi == 1.0 and not _tau(t.psi(1.0), psi_rho, root_n, scale) > z_alpha:
+        r_star = math.inf
+    _log.debug("rejection_rule at rho=%r, n=%d, z_alpha=%r: %d psi calls, "
+               "%d Newton steps", rho, n, z_alpha, 1 + calls + (hi == 1.0),
+               steps)
     lo, hi = r_star - _TIE_BAND, r_star + _TIE_BAND
 
     def rejects(r: np.ndarray) -> np.ndarray:
@@ -365,6 +341,7 @@ def rejection_rule(t: Transform, rho: float, sigma: float, n: int,
             reject[near] = np.array(decided)[inverse]
         return reject
 
+    rejects.r_star = r_star
     return rejects
 
 
@@ -393,7 +370,7 @@ def assemble_statistic_model(m: Moments, rho: float) -> edgeworth.EdgeworthModel
         [mu[2, 1], mu[1, 2], mu[3, 1] - rho, mu[1, 3] - rho,
          mu[2, 2] - rho * rho],
     ])
-    s = _sigma(mu, rho)
+    s = math.sqrt(_variance(mu, rho))
     L = np.array([0.0, 0.0, -rho / 2.0, -rho / 2.0, 1.0])
     return edgeworth.EdgeworthModel(
         dim=5,

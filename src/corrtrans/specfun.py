@@ -172,8 +172,9 @@ def integrate_ode(
     tol: Tolerance = Tolerance(1e-12, 1e-12, 100_000),
 ) -> tuple[float, ...]:
     """Integrate y' = rhs(t, y) from t0 to t1 with Dormand-Prince 5(4);
-    a step with a non-finite state or a NaN error raises IntegrationError,
-    and one whose error overflows to inf is rejected like any too large.
+    a non-finite t0 or t1 raises ValueError, a step with a non-finite state
+    or a NaN error IntegrationError, and one whose error overflows to inf
+    is rejected like any too large.
 
     The pair is first-same-as-last: the last stage of an accepted step is
     rhs at its new (t, y), and is kept as the next step's first stage, so
@@ -181,6 +182,8 @@ def integrate_ode(
     that returns logs its accepted and rejected steps and rhs calls at
     DEBUG.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"integrate_ode requires finite t0, t1: {t0}, {t1}")
     if t1 == t0:
         return tuple(y0)
     dims = range(len(y0))

@@ -1058,8 +1058,8 @@ class TestSquarevExactRejection:
     @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5, 0.9])
     def test_windows_leave_out_at_most_3d(self, n, rho):
         # with every atom rejected, corner included, each a's block sums to
-        # P(a) without windows, and with them falls short by at most
-        # 2 D/(n + 1): D/(n + 1) in u and D/(n + 1) in the levels, or
+        # P(a) without windows (l_a = n), and with them falls short by at
+        # most 2 D/(n + 1): D/(n + 1) in u and D/(n + 1) in the levels, or
         # P(a) <= D/(n + 1) where the a is left out; at most 2 D <= 3 D in
         # all.  The 1e-13 relative term is the rounding of the sums; P(a)
         # itself is matched to the ~1e-12 of the log-factorial table at
@@ -1072,13 +1072,23 @@ class TestSquarevExactRejection:
         def every(r):
             return np.ones(np.shape(r), dtype=bool)
 
+        def mass(a, ell):
+            return mo._rejected_mass(n, np.array([a]), np.array([ell]), p_a,
+                                     lf, every, True, np.zeros(3, np.int64))
+
+        left_out = 0
         for a in np.flatnonzero(p_a > 0.0):
-            block = (n, np.array([a]), p_a, lf, every, True)
-            full = mo._rejected_mass(*block, depth=math.inf)
-            windowed = mo._rejected_mass(*block)
+            full = mass(a, n)
             assert full == pytest.approx(p_a[a], rel=1e-11, abs=1e-300), a
+            ell = math.log(2.0 * (n + 1) * p_a[a] / d)
+            if not ell > math.log(2.0):  # outside the a-window
+                assert p_a[a] <= d / (n + 1), a
+                left_out += 1
+                continue
+            windowed = mass(a, ell)
             assert -1e-13 * full <= full - windowed <= \
                 2 * d / (n + 1) + 1e-13 * full, a
+        assert left_out > 0 or rho == 0.0
 
     def test_logs_its_counters_at_debug(self, caplog):
         # one row per mirror pair (u, a - u): at most a//2 + 1 rows per kept a

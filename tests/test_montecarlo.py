@@ -78,7 +78,7 @@ class TestRejectionThreshold:
         for kind in ("identity", "fisher", "optimal"):
             t = mo.transform_for(mo.BVN, kind, z)
             sigma = mo.BVN.sigma(0.5)
-            cut = pe.rejection_threshold(t, 0.5, sigma, 100, 0.05)
+            cut = pe.rejection_rule(t, 0.5, sigma, 100, 0.05).r_star
             for dr in (1e-6, 1e-3):
                 assert pe.tau(t, cut + dr, 0.5, sigma, 100) > z
                 assert pe.tau(t, cut - dr, 0.5, sigma, 100) < z
@@ -87,7 +87,7 @@ class TestRejectionThreshold:
         t = mo.power_transform(0.0)
         # rho = 0.9, n = 2: cut beyond psi(1) = 1
         sigma = mo.BVN.sigma(0.9)
-        cut = pe.rejection_threshold(t, 0.9, sigma, 2, 0.05)
+        cut = pe.rejection_rule(t, 0.9, sigma, 2, 0.05).r_star
         assert cut == math.inf
 
     def test_underflowing_scale_fails_the_cell(self):
@@ -104,7 +104,7 @@ class TestRejectionThreshold:
         # is 6.6e-45 against psi(0.9) = 0.115, so psi cannot place r*
         t = mo.transform_for(mo.SQUAREV, "optimal", normal_quantile(0.53))
         with pytest.raises(pe.DegenerateModelError, match="absorbs"):
-            pe.rejection_threshold(t, 0.9, mo.SQUAREV.sigma(0.9), 10, 0.47)
+            pe.rejection_rule(t, 0.9, mo.SQUAREV.sigma(0.9), 10, 0.47)
 
 
 class TestAggregate:
@@ -280,8 +280,8 @@ class TestLatticePath:
         t = mo.power_transform(-1.0)
         r0 = float(mo._squarev_r(n, 2, 1, 0))
         alpha = 1.0 - normal_cdf(pe.tau(t, r0, rho, 1.0, n))
-        r_star = pe.rejection_threshold(t, rho, mo.SQUAREV.sigma(rho), n,
-                                        alpha)
+        r_star = pe.rejection_rule(t, rho, mo.SQUAREV.sigma(rho), n,
+                                   alpha).r_star
         assert abs(r0 - r_star) <= pe._TIE_BAND
         rules = [pe.rejection_rule(t, rho, mo.SQUAREV.sigma(rho), n, alpha)]
         exact = [mo.squarev_exact_rejection(rho, n, t, alpha)]

@@ -4,6 +4,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from collections.abc import Mapping
 from pathlib import Path
 
@@ -171,6 +172,51 @@ class TestHz:
         with pytest.raises(ValueError, match="finite z"):
             pe.h_z(mo.BVN.moments, 0.2, z)
 
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_extreme_z_gives_the_limit(self, model):
+        # P / z^2 is below Q's last bit from |z| ~ 1e100 on, and 0.0 where
+        # z^2 overflows to inf
+        for rho in RHO_GRID.tolist():
+            limit = pe.h_z(model.moments, rho, 1e100)
+            for z in (1e155, 1e200, 1e300, -1e300):
+                assert pe.h_z(model.moments, rho, z) == limit, (rho, z)
+
+    def test_rejects_z_whose_square_underflows(self):
+        for z in (1e-170, -1e-200, 5e-324):
+            with pytest.raises(ValueError, match="finite z"):
+                pe.h_z(mo.SQUAREV.moments, 0.5, z)
+            with pytest.raises(ValueError, match="finite z"):
+                pe.optimal_transform_numeric(mo.SQUAREV.moments, z)
+
+    # the max relative error of h_z over H_Z_ZS at each rho, against the
+    # closed form 2 rho (1 + B/z^2) / (k (1 - rho^2)) in mpmath at the same
+    # floats, may not exceed that of the kernel that summed Delta_R in z,
+    # rounded up to two digits.  SquareV's h_z is 0 at z = 1, where the
+    # error is taken relative to the z -> inf limit 2 rho / (k (1 - rho^2)).
+    H_Z_ZS = (0.3, 1.0, Z05, Z01, 5.0)
+    H_Z_BOUNDS = {
+        "bvn": {0.1: 7.7e-16, 0.5: 1.2e-15, 0.9: 5.8e-13, 0.99: 2.4e-10},
+        "squarev": {0.1: 1.5e-15, 0.5: 1.6e-16, 0.9: 2.0e-15,
+                    0.99: 2.7e-14},
+    }
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_matches_mpmath_to_the_old_kernels_accuracy(self, model):
+        with mp.workdps(40):
+            b = mp.mpf(model.delta_const)
+            for rho, bound in self.H_Z_BOUNDS[model.name].items():
+                limit = 2 * mp.mpf(rho) / (model.fisher_slope
+                                           * (1 - mp.mpf(rho) ** 2))
+                worst = 0.0
+                for z in self.H_Z_ZS:
+                    want = limit * (1 + b / mp.mpf(z) ** 2)
+                    got = pe.h_z(model.moments, rho, z)
+                    worst = max(worst, float(abs(got - want)
+                                             / abs(want or limit)))
+                assert worst <= bound, (rho, worst)
+
 
 class TestOptimalTransformNumeric:
     def test_initial_conditions(self):
@@ -240,6 +286,23 @@ class TestOptimalTransformNumeric:
         # refused when built, not as a NaN psi on first use
         with pytest.raises(ValueError, match="finite z"):
             pe.optimal_transform_numeric(mo.SQUAREV.moments, z)
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_extreme_z_matches_closed_form(self, model):
+        # z^2 overflows: h_z is its limit Q / (48 sigma^4), and psi is the
+        # closed form at p = -1/k (atanh for BVN)
+        t = pe.optimal_transform_numeric(model.moments, 1e200)
+        for rho in sorted(RHO_GRID, key=abs):
+            assert abs(t.psi(rho) - mo.psi_closed(model, 1e200, rho)) <= 1e-10
+
+    def test_nan_rho_fails_at_once(self):
+        t = pe.optimal_transform_numeric(mo.BVN.moments, Z05)
+        start = time.perf_counter()
+        for f in (t.psi, t.dpsi):
+            with pytest.raises(ValueError, match="valid only"):
+                f(math.nan)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestDeltaPsi:
@@ -313,8 +376,8 @@ MOMENT_READERS = {
 
 
 def delta_r_tilde_reference(mu, rho, z, s2):
-    """`pearson._delta_r_tilde` as it read the table, one lookup per term;
-    the kernel must give the same float."""
+    """96 sigma^3 Delta_R(z) / phi(z) summed term by term in z, one lookup
+    per term, as `pearson` did before its kernel returned the pair (P, Q)."""
     t = z * z
     term0 = 16.0 * (
         (t - 1.0) * (6.0 * mu[1, 2] * mu[2, 1] - mu[3, 3])
@@ -350,15 +413,64 @@ def delta_r_tilde_reference(mu, rho, z, s2):
     return term0 + term1 + term2 + term3
 
 
+class Magnitude(float):
+    """A float whose + and - add absolute values and whose * and ** take
+    them: a polynomial evaluated on Magnitudes gives the sum of the absolute
+    values of its terms, which bounds the rounding of its float value."""
+
+    def __add__(self, other):
+        return Magnitude(abs(self) + abs(other))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return Magnitude(abs(self) * abs(other))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        return Magnitude(abs(self) ** k)
+
+    def __neg__(self):
+        return Magnitude(abs(self))
+
+
+# P + Q z^2 and the reference each round the same terms, at most ~25
+# operations deep, so each is within 25 u of the exact value per unit of
+# the terms' magnitude (u = 2^-53), and the two within 50 u = 25 ulps of 1
+KERNEL_ULPS = 32
+
+
 @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
                          ids=lambda model: model.name)
-def test_delta_r_tilde_matches_the_reference_bitwise(model):
+def test_delta_pq_matches_the_reference(model):
     for rho in np.linspace(-0.99, 0.99, 41).tolist():
         mu = model.moments(rho)
-        s2 = pe.sigma_rho(model.moments, rho) ** 2
+        s2 = pe._variance(mu, rho)
+        p, q = pe._delta_pq(mu, rho, s2)
+        size = {order: Magnitude(value) for order, value in mu.items()}
         for z in (0.3, 1.0, Z05, Z01, 3.0):
-            assert pe._delta_r_tilde(mu, rho, z, s2) == \
-                delta_r_tilde_reference(mu, rho, z, s2), (rho, z)
+            terms = delta_r_tilde_reference(size, Magnitude(rho),
+                                            Magnitude(z), Magnitude(s2))
+            gap = abs(p + q * z * z - delta_r_tilde_reference(mu, rho, z, s2))
+            assert gap <= KERNEL_ULPS * 2.0 ** -52 * terms, (rho, z, gap)
+
+
+@pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                         ids=lambda model: model.name)
+def test_closed_form_constants_follow_from_the_moments(model):
+    # Delta_R = phi g (z^2 + B) and h_z = 2 rho (1 + B/z^2) / (k (1 - rho^2))
+    # make B = P/Q, g = Q / (96 sigma^3) and k = 96 rho sigma^4 /
+    # (Q (1 - rho^2)): the hand-entered fields against the moment table
+    for rho in [k / 20 for k in range(-18, 19) if k]:
+        mu = model.moments(rho)
+        s2 = pe._variance(mu, rho)
+        p, q = pe._delta_pq(mu, rho, s2)
+        assert p / q == pytest.approx(model.delta_const, rel=1e-12), rho
+        assert q / (96.0 * s2 * math.sqrt(s2)) == pytest.approx(
+            model.odd_factor(rho), rel=1e-12), rho
+        assert 96.0 * rho * s2 * s2 / (q * (1 - rho) * (1 + rho)) == \
+            pytest.approx(model.fisher_slope, rel=1e-12), rho
 
 
 class TestMomentReads:
@@ -459,10 +571,10 @@ def check_against_the_bisection(model, alphas, rhos, ns):
                             t, rho, sigma, n, alpha)
                     except pe.DegenerateModelError:
                         with pytest.raises(pe.DegenerateModelError):
-                            pe.rejection_threshold(t, rho, sigma, n, alpha)
+                            pe.rejection_rule(t, rho, sigma, n, alpha)
                         continue
                     calls[0] = 0
-                    r_star = pe.rejection_threshold(t, rho, sigma, n, alpha)
+                    r_star = pe.rejection_rule(t, rho, sigma, n, alpha).r_star
                     assert calls[0] <= 64, case
                     counts.append(calls[0])
                     if math.isinf(r_star) or math.isinf(expected):
@@ -519,10 +631,12 @@ class TestRejectionThreshold:
             for rho in (-0.5, 0.0, 0.5, 0.9):
                 sigma = model.sigma(rho)
                 for n in (10, 100, 1000):
-                    want = pe.rejection_threshold(closed, rho, sigma, n, alpha)
+                    want = pe.rejection_rule(closed, rho, sigma, n,
+                                             alpha).r_star
                     if not want <= 0.999:
                         continue
-                    got = pe.rejection_threshold(numeric, rho, sigma, n, alpha)
+                    got = pe.rejection_rule(numeric, rho, sigma, n,
+                                            alpha).r_star
                     assert got == pytest.approx(want, rel=0.0, abs=1e-10), \
                         (alpha, rho, n)
                     cells += 1
@@ -538,7 +652,7 @@ class TestRejectionThreshold:
 
         t = pe.Transform(psi, base.dpsi, base.dlog_dpsi)
         with caplog.at_level(logging.DEBUG, logger=pe.__name__):
-            pe.rejection_threshold(t, 0.5, mo.SQUAREV.sigma(0.5), 100, 0.05)
+            pe.rejection_rule(t, 0.5, mo.SQUAREV.sigma(0.5), 100, 0.05)
         (record,) = caplog.records
         assert record.name == "corrtrans.pearson"
         assert record.levelno == logging.DEBUG
@@ -547,7 +661,7 @@ class TestRejectionThreshold:
         assert logged == calls[0] <= 10
         assert 1 <= steps < logged
         assert record.getMessage() == (
-            f"rejection_threshold at rho=0.5, n=100, z_alpha={Z05!r}: "
+            f"rejection_rule at rho=0.5, n=100, z_alpha={Z05!r}: "
             f"{logged} psi calls, {steps} Newton steps")
 
     def test_silent_at_the_default_level(self):
@@ -557,7 +671,8 @@ class TestRejectionThreshold:
             [src] + ([path] if path else [])))
         code = ("from corrtrans import models as mo, pearson as pe\n"
                 "t = mo.transform_for(mo.SQUAREV, 'optimal', 1.6448536269514722)\n"
-                "print(pe.rejection_threshold(t, 0.5, 0.75 ** 0.5, 100, 0.05))")
+                "print(pe.rejection_rule(t, 0.5, 0.75 ** 0.5, 100, 0.05)"
+                ".r_star)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
@@ -594,7 +709,7 @@ class TestRejectionRule:
         t = pe.Transform(psi, base.dpsi, base.dlog_dpsi)
         rho, sigma, n = 0.5, mo.SQUAREV.sigma(0.5), 100
         rule = pe.rejection_rule(t, rho, sigma, n, 0.05)
-        r_star = pe.rejection_threshold(base, rho, sigma, n, 0.05)
+        r_star = rule.r_star
         band = [r_star - 5e-10, r_star, np.nextafter(r_star, 1.0),
                 r_star + 5e-10]
         r = np.array(band * 3 + [0.0, 0.5, 0.99])
@@ -631,6 +746,26 @@ class TestRejectionRule:
 
 
 class TestTau:
+    @pytest.mark.parametrize("kind", mo.TRANSFORM_KINDS)
+    @pytest.mark.parametrize("rho", [1.5, -1.5, math.inf])
+    def test_rejects_rho_outside_minus_one_one(self, kind, rho):
+        # SquareV's optimal (1 - rho^2)^p would be complex there
+        t = mo.transform_for(mo.SQUAREV, kind, Z05)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            pe.tau(t, 0.5, rho, 1.0, 10)
+        with pytest.raises(ValueError, match="rho must lie in"):
+            pe.rejection_rule(t, rho, 1.0, 10, 0.05)
+
+    @pytest.mark.parametrize("kind", ["fisher", "optimal"])
+    def test_nan_rho_is_degenerate(self, kind):
+        # psi'(NaN) sigma is NaN; the identity's psi' is 1 there, and its
+        # psi refuses NaN
+        t = mo.transform_for(mo.SQUAREV, kind, Z05)
+        with pytest.raises(pe.DegenerateModelError):
+            pe.tau(t, 0.5, math.nan, 1.0, 10)
+        with pytest.raises(pe.DegenerateModelError):
+            pe.rejection_rule(t, math.nan, 1.0, 10, 0.05)
+
     def test_zero_at_truth(self):
         t = mo.power_transform(0.0)
         assert pe.tau(t, 0.5, 0.5, 1.0, 100) == 0.0
@@ -651,7 +786,7 @@ class TestTau:
         with pytest.raises(ValueError, match="n must be"):
             pe.tau(mo.power_transform(0.0), 0.5, 0.0, 1.0, 0)
         with pytest.raises(ValueError, match="n must be"):
-            pe.rejection_threshold(mo.power_transform(0.0), 0.0, 1.0, 0, 0.05)
+            pe.rejection_rule(mo.power_transform(0.0), 0.0, 1.0, 0, 0.05)
 
     def test_rejects_non_positive_scale(self):
         # psi'(rho) sigma = 0: sigma = 0, or psi'(rho) underflows (the
@@ -662,7 +797,7 @@ class TestTau:
             with pytest.raises(pe.DegenerateModelError):
                 pe.tau(t, 0.5, rho, sigma, 10)
             with pytest.raises(pe.DegenerateModelError):
-                pe.rejection_threshold(t, rho, sigma, 10, 0.49)
+                pe.rejection_rule(t, rho, sigma, 10, 0.49)
 
 
 def _f_rho(rho, v):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -303,6 +304,19 @@ class TestIntegrateOde:
         # max(err, nan) keeps err, so a NaN state used to pass as converged
         with pytest.raises(IntegrationError, match="non-finite"):
             integrate_ode(rhs, 0.0, (1.0,), 1.0)
+
+    @pytest.mark.parametrize("t0, t1", [
+        (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0),
+    ])
+    def test_non_finite_end_raises_at_once(self, t0, t1):
+        # refused before a step: a NaN t1 would set the direction to -1 and
+        # step away from t0 until the state overflows
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="finite t0, t1"):
+            integrate_ode(lambda t, y: (y[0],), t0, (1.0,), t1)
+        with pytest.raises(ValueError, match="finite t0, t1"):
+            integrate_adaptive(math.exp, t0, t1)
+        assert time.perf_counter() - start < 0.5
 
     def test_nan_error_of_a_finite_state_raises(self):
         # the 7th rhs call is the last stage, at the new state: y5 is finite
