@@ -94,8 +94,9 @@ def _variance(mu: Mapping, rho: float) -> float:
     return 0.25 * radicand
 
 
-def _skew(mu: Mapping, rho: float, s: float) -> float:
-    w3 = (
+def _w3(mu: Mapping, rho: float) -> float:
+    """sigma^3 E Lambda^3, the third moment of L'V = YZ - rho (Y^2 + Z^2) / 2."""
+    return (
         mu[3, 3]
         - 1.5 * rho * (mu[2, 4] + mu[4, 2])
         + 0.75 * rho * rho * (mu[1, 5] + 2.0 * mu[3, 3] + mu[5, 1])
@@ -103,45 +104,31 @@ def _skew(mu: Mapping, rho: float, s: float) -> float:
             mu[0, 6] + 3.0 * mu[2, 4] + 3.0 * mu[4, 2] + mu[6, 0]
         )
     )
-    return w3 / s ** 3
 
 
-def _delta_pq(mu: Mapping, rho: float, s2: float) -> tuple[float, float]:
-    """(P, Q) with 96 sigma^3 Delta_R(z) / phi(z) = P + Q z^2."""
-    m03, m04, m06 = mu[0, 3], mu[0, 4], mu[0, 6]
-    m12, m13, m15 = mu[1, 2], mu[1, 3], mu[1, 5]
-    m21, m22, m24 = mu[2, 1], mu[2, 2], mu[2, 4]
-    m30, m31, m33 = mu[3, 0], mu[3, 1], mu[3, 3]
-    m40, m42, m51, m60 = mu[4, 0], mu[4, 2], mu[5, 1], mu[6, 0]
-    # the part that multiplies z^2 - 1
-    x = (
-        16.0 * (6.0 * m12 * m21 - m33)
-        - 12.0 * rho * (
-            4.0 * m03 * m21 + 4.0 * m12 * m30
-            + 8.0 * m12 ** 2 - 2.0 * m13 * m31
-            + m13 ** 2 + 8.0 * m21 ** 2 - 2.0 * m24
-            + m31 ** 2 - 2.0 * m42
-        )
-        + 12.0 * rho * rho * (
-            2.0 * m03 * (3.0 * m12 + m30)
-            + m04 * (m13 - m31)
-            + 10.0 * m12 * m21
-            - m13 * m40 - m15
-            + 6.0 * m21 * m30
-            + m31 * m40 - 2.0 * m33 - m51
-        )
-        - rho ** 3 * (
-            24.0 * m03 * m21 + 12.0 * m03 ** 2
-            - 6.0 * m04 * m40 + 3.0 * m04 ** 2 - 2.0 * m06
-            + 24.0 * m12 * m30 + 12.0 * m12 ** 2
-            + 12.0 * m21 ** 2 - 6.0 * m24 + 12.0 * m30 ** 2
-            + 3.0 * m40 ** 2 - 6.0 * m42 - 2.0 * m60
-        )
-    )
-    p = -x - 12.0 * rho * s2 * (m04 + m40 - 2.0 * m22)
-    q = (x + 48.0 * s2 * (m13 + m31)
-         - 24.0 * rho * s2 * (m04 + m40 + 2.0 * m22))
-    return p, q
+def _delta_pq(m: Moments, rho: float) -> tuple[float, float, float]:
+    """(sigma^2, P, Q) at rho, with 96 sigma^3 Delta_R(z) / phi(z) = P + Q z^2.
+
+    `edgeworth.delta`'s -[(skew/6 + a3)(z^2 - 1) + a1] phi(z) in scalars,
+    for L, H and Sigma as in `assemble_statistic_model` and v = Sigma L:
+    Q = -16 w3 - 48 v'Hv and P + Q = -48 sigma^2 tr(H Sigma).  P takes the
+    sigma^2 terms apart from x = Q - a (0 for BVN), so that tr(H Sigma)'s
+    cancellation stays out of it.
+    """
+    mu = m(rho)
+    s2 = _variance(mu, rho)
+    half = 0.5 * rho
+    m04, m13, m22, m31, m40 = mu[0, 4], mu[1, 3], mu[2, 2], mu[3, 1], mu[4, 0]
+    v0 = mu[2, 1] - half * (mu[3, 0] + mu[1, 2])
+    v1 = mu[1, 2] - half * (mu[2, 1] + mu[0, 3])
+    v2 = m31 - half * (m40 + m22)
+    v3 = m13 - half * (m22 + m04)
+    v4 = m22 - half * (m31 + m13)
+    vhv = (rho * (v0 * v0 + v1 * v1 + 0.75 * (v2 * v2 + v3 * v3)
+                  + 0.5 * v2 * v3) - 2.0 * v0 * v1 - v4 * (v2 + v3))
+    a = s2 * (48.0 * (m13 + m31) - 24.0 * rho * (m04 + m40 + 2.0 * m22))
+    x = -16.0 * _w3(mu, rho) - 48.0 * vhv - a
+    return s2, -x - 12.0 * rho * s2 * (m04 + m40 - 2.0 * m22), x + a
 
 
 def sigma_rho(m: Moments, rho: float) -> float:
@@ -151,14 +138,15 @@ def sigma_rho(m: Moments, rho: float) -> float:
 
 def h_z(m: Moments, rho: float, z: float) -> float:
     """Right-hand side of the optimality ODE psi''/psi' = h_z(rho), for
-    every finite z whose square does not underflow to 0; where z^2
-    overflows it is the limit Q / (48 sigma^4)."""
-    if z * z == 0.0 or not math.isfinite(z):
-        raise ValueError("h_z requires a finite z with z^2 > 0")
-    mu = m(rho)
-    s2 = _variance(mu, rho)
-    p, q = _delta_pq(mu, rho, s2)
-    return (p / (z * z) + q) / (48.0 * s2 ** 2)
+    every finite z where it is finite: where z^2 overflows it is the limit
+    Q / (48 sigma^4), and a ValueError where z^2 underflows to 0 or P / z^2
+    overflows (both models at rho 0.5 for |z| up to ~1.3e-154)."""
+    s2, p, q = _delta_pq(m, rho)
+    h = (p / (z * z) + q) / (48.0 * s2 ** 2) if z * z > 0.0 else math.nan
+    if not (math.isfinite(h) and math.isfinite(z)):
+        raise ValueError(f"h_z requires a finite z and a finite P / z^2, "
+                         f"got z={z} at rho={rho}")
+    return h
 
 
 def optimal_transform_numeric(m: Moments, z: float) -> Transform:
@@ -208,11 +196,9 @@ def optimal_transform_numeric(m: Moments, z: float) -> Transform:
 
 def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
     """Leading error term for the transformed statistic psi(R)."""
-    mu = m(rho)
-    s2 = _variance(mu, rho)
+    s2, p, q = _delta_pq(m, rho)
     s = math.sqrt(s2)
     phi = normal_pdf(z)  # 0.0 is the limit where it underflows; z^2 may be inf
-    p, q = _delta_pq(mu, rho, s2)
     delta_r = phi * (p + q * z * z) / (96.0 * s ** 3)
     correction = 0.5 * t.dlog_dpsi(rho) * s * z * z * phi
     return delta_r - correction if phi > 0.0 else 0.0
@@ -221,12 +207,12 @@ def delta_psi(m: Moments, t: Transform, rho: float, z: float) -> float:
 def _checked_dpsi(t: Transform, rho: float, sigma: float, n: int) -> float:
     """psi'(rho), after checking that n >= 1, |rho| <= 1 and the scale
     psi'(rho) sigma of the tau statistic is positive (it underflows for
-    steep optimal transforms)."""
+    steep optimal transforms; a NaN rho fails here for every transform)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if abs(rho) > 1.0:  # a NaN rho passes, to fail as degenerate
         raise ValueError(f"rho must lie in [-1, 1], got rho={rho}")
-    dpsi = t.dpsi(rho)
+    dpsi = t.dpsi(rho) if rho == rho else math.nan
     if not dpsi * sigma > 0.0:
         raise DegenerateModelError(
             f"psi'(rho) sigma = {dpsi} * {sigma} is not positive at rho={rho}")
@@ -378,5 +364,5 @@ def assemble_statistic_model(m: Moments, rho: float) -> edgeworth.EdgeworthModel
         H=_hessian(rho),
         Sigma=Sigma,
         sigma=s,
-        skew=_skew(mu, rho, s),
+        skew=_w3(mu, rho) / s ** 3,
     )

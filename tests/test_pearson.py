@@ -12,6 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from corrtrans import edgeworth
 from corrtrans import models as mo
 from corrtrans import pearson as pe
 from corrtrans.specfun import Tolerance, normal_pdf, normal_quantile
@@ -182,6 +183,16 @@ class TestHz:
             for z in (1e155, 1e200, 1e300, -1e300):
                 assert pe.h_z(model.moments, rho, z) == limit, (rho, z)
 
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    @pytest.mark.parametrize("z", [1e-155, 1e-160, 1.2e-154])
+    def test_rejects_z_where_p_over_z_squared_overflows(self, model, z):
+        # z^2 is a positive subnormal or tiny normal, but P / z^2 is -inf;
+        # at rho = 0, P = 0 and h_z is 0
+        with pytest.raises(ValueError, match="finite z"):
+            pe.h_z(model.moments, 0.5, z)
+        assert pe.h_z(model.moments, 0.0, z) == 0.0
+
     def test_rejects_z_whose_square_underflows(self):
         for z in (1e-170, -1e-200, 5e-324):
             with pytest.raises(ValueError, match="finite z"):
@@ -192,13 +203,16 @@ class TestHz:
     # the max relative error of h_z over H_Z_ZS at each rho, against the
     # closed form 2 rho (1 + B/z^2) / (k (1 - rho^2)) in mpmath at the same
     # floats, may not exceed that of the kernel that summed Delta_R in z,
-    # rounded up to two digits.  SquareV's h_z is 0 at z = 1, where the
-    # error is taken relative to the z -> inf limit 2 rho / (k (1 - rho^2)).
+    # rounded up to two digits; at 0.95 that of the expanded (P, Q)
+    # polynomial, and BVN at 0.9 the factored kernel's own.  SquareV's h_z
+    # is 0 at z = 1, where the error is taken relative to the z -> inf
+    # limit 2 rho / (k (1 - rho^2)).
     H_Z_ZS = (0.3, 1.0, Z05, Z01, 5.0)
     H_Z_BOUNDS = {
-        "bvn": {0.1: 7.7e-16, 0.5: 1.2e-15, 0.9: 5.8e-13, 0.99: 2.4e-10},
+        "bvn": {0.1: 7.7e-16, 0.5: 1.2e-15, 0.9: 8.7e-15, 0.95: 4.5e-12,
+                0.99: 2.4e-10},
         "squarev": {0.1: 1.5e-15, 0.5: 1.6e-16, 0.9: 2.0e-15,
-                    0.99: 2.7e-14},
+                    0.95: 2.6e-15, 0.99: 2.7e-14},
     }
 
     @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
@@ -295,6 +309,16 @@ class TestOptimalTransformNumeric:
         t = pe.optimal_transform_numeric(model.moments, 1e200)
         for rho in sorted(RHO_GRID, key=abs):
             assert abs(t.psi(rho) - mo.psi_closed(model, 1e200, rho)) <= 1e-10
+
+    @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                             ids=lambda model: model.name)
+    def test_z_where_h_z_overflows_fails_at_once(self, model):
+        # built, since h_z(0) = 0, but refused by h_z on the first psi
+        t = pe.optimal_transform_numeric(model.moments, 1e-155)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="finite z"):
+            t.psi(0.5)
+        assert time.perf_counter() - start < 0.5
 
     def test_nan_rho_fails_at_once(self):
         t = pe.optimal_transform_numeric(mo.BVN.moments, Z05)
@@ -435,9 +459,13 @@ class Magnitude(float):
         return Magnitude(abs(self))
 
 
-# P + Q z^2 and the reference each round the same terms, at most ~25
-# operations deep, so each is within 25 u of the exact value per unit of
-# the terms' magnitude (u = 2^-53), and the two within 50 u = 25 ulps of 1
+# P + Q z^2 is the factored form of the reference's polynomial (sums of
+# moments v = Sigma L, then v'Hv and the skewness sum), not a reordering of
+# its terms, so the two agree only to rounding.  Each is at most ~25
+# operations deep, so where the factored form's partial sums stay within
+# the expanded terms' magnitude, each is within ~25 u of the exact value
+# per unit of that magnitude (u = 2^-53), and the two within ~50 u = 25
+# ulps of 1; the largest gap seen is 0.62 ulp (BVN)
 KERNEL_ULPS = 32
 
 
@@ -446,8 +474,7 @@ KERNEL_ULPS = 32
 def test_delta_pq_matches_the_reference(model):
     for rho in np.linspace(-0.99, 0.99, 41).tolist():
         mu = model.moments(rho)
-        s2 = pe._variance(mu, rho)
-        p, q = pe._delta_pq(mu, rho, s2)
+        s2, p, q = pe._delta_pq(model.moments, rho)
         size = {order: Magnitude(value) for order, value in mu.items()}
         for z in (0.3, 1.0, Z05, Z01, 3.0):
             terms = delta_r_tilde_reference(size, Magnitude(rho),
@@ -458,14 +485,28 @@ def test_delta_pq_matches_the_reference(model):
 
 @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
                          ids=lambda model: model.name)
+def test_delta_pq_matches_the_matrix_path(model):
+    # 96 sigma^3 Delta_R / phi = Q (z^2 - 1) + (P + Q), from the Edgeworth
+    # matrices: Q = -96 sigma^3 (skew/6 + a3), P + Q = -96 sigma^3 a1.  The
+    # largest gap seen is 3e-14 (BVN)
+    for rho in [k / 100 for k in range(-95, 96) if k]:
+        em = pe.assemble_statistic_model(model.moments, rho)
+        s3 = em.sigma ** 3
+        q_ref = -96.0 * s3 * (em.skew / 6.0 + edgeworth.coeff_a3(em))
+        p_ref = -q_ref - 96.0 * s3 * edgeworth.coeff_a1(em)
+        _, p, q = pe._delta_pq(model.moments, rho)
+        assert p == pytest.approx(p_ref, rel=1e-13, abs=0.0), rho
+        assert q == pytest.approx(q_ref, rel=1e-13, abs=0.0), rho
+
+
+@pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV],
+                         ids=lambda model: model.name)
 def test_closed_form_constants_follow_from_the_moments(model):
     # Delta_R = phi g (z^2 + B) and h_z = 2 rho (1 + B/z^2) / (k (1 - rho^2))
     # make B = P/Q, g = Q / (96 sigma^3) and k = 96 rho sigma^4 /
     # (Q (1 - rho^2)): the hand-entered fields against the moment table
     for rho in [k / 20 for k in range(-18, 19) if k]:
-        mu = model.moments(rho)
-        s2 = pe._variance(mu, rho)
-        p, q = pe._delta_pq(mu, rho, s2)
+        s2, p, q = pe._delta_pq(model.moments, rho)
         assert p / q == pytest.approx(model.delta_const, rel=1e-12), rho
         assert q / (96.0 * s2 * math.sqrt(s2)) == pytest.approx(
             model.odd_factor(rho), rel=1e-12), rho
@@ -756,10 +797,10 @@ class TestTau:
         with pytest.raises(ValueError, match="rho must lie in"):
             pe.rejection_rule(t, rho, 1.0, 10, 0.05)
 
-    @pytest.mark.parametrize("kind", ["fisher", "optimal"])
+    @pytest.mark.parametrize("kind", mo.TRANSFORM_KINDS)
     def test_nan_rho_is_degenerate(self, kind):
-        # psi'(NaN) sigma is NaN; the identity's psi' is 1 there, and its
-        # psi refuses NaN
+        # as bvn_moments states; the identity's psi' is 1 at NaN, and its
+        # psi refuses NaN with ValueError
         t = mo.transform_for(mo.SQUAREV, kind, Z05)
         with pytest.raises(pe.DegenerateModelError):
             pe.tau(t, 0.5, math.nan, 1.0, 10)
