@@ -177,11 +177,6 @@ def _squarev_counts(rho: float, rows: int, n: int, rng: np.random.Generator
     return (a, *_squarev_sign_counts(n, a, rng))
 
 
-def _squarev_sample_r(rho: float, rows: int, n: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    return _squarev_r(n, *_squarev_counts(rho, rows, n, rng))
-
-
 def _squarev_atoms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, u, v) of every SquareV atom at n, in atom order: the triples with
     u <= a and v <= n - a, numbered start[a] + u (n + 1 - a) + v, where the
@@ -193,17 +188,23 @@ def _squarev_atoms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (a, *np.divmod(np.arange(a.size) - start[a], n + 1 - a))
 
 
-def _squarev_lattice_pmf(rho: float, n: int) -> np.ndarray:
-    """P(a) Bin(a, 1/2)(u) Bin(n - a, 1/2)(v) of every atom, in atom order,
-    normalised to sum 1."""
-    a, u, v = _squarev_atoms(n)
+def _squarev_weights(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lf, P): lf[k] = log k! and P[a] = Bin(n, (1 + rho)/2)(a), 0..n."""
     lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
-    half = math.log(0.5)
-    pmf = _pmf(lf, n, a, math.log((1.0 + rho) / 2.0),
-               math.log((1.0 - rho) / 2.0))
-    pmf *= _pmf(lf, a, u, half, half)
-    pmf *= _pmf(lf, n - a, v, half, half)
-    return pmf / pmf.sum()
+    return lf, _pmf(lf, n, np.arange(n + 1), math.log((1.0 + rho) / 2.0),
+                    math.log((1.0 - rho) / 2.0))
+
+
+def _squarev_lattice(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, pmf) of every atom, in atom order: pmf is P(a) B_a(u) B_{n-a}(v),
+    normalised, with B_k(j) = Bin(k, 1/2)(j) read from one (n + 1)^2 table."""
+    a, u, v = _squarev_atoms(n)
+    lf, p_a = _squarev_weights(rho, n)
+    k = np.arange(n + 1)  # j is clipped to k, so lf[k - j] cannot wrap
+    half = _pmf(lf, k[:, None], np.minimum(k, k[:, None]), math.log(0.5),
+                math.log(0.5))
+    pmf = p_a[a] * half[a, u] * half[n - a, v]
+    return _squarev_r(n, a, u, v), pmf / pmf.sum()
 
 
 @dataclass(frozen=True)
@@ -213,10 +214,9 @@ class Lattice:
 
     # n -> number of atoms, without building them
     size: Callable[[int], int]
-    # n -> R of every atom, in atom order, bit for bit the R sample_r draws
-    r: Callable[[int], np.ndarray]
-    # (rho, n) -> probability of every atom, in atom order, summing to 1
-    pmf: Callable[[float, int], np.ndarray]
+    # (rho, n) -> (R, pmf) of every atom, in atom order: R bit for bit the R
+    # sample_r draws, and pmf the atoms' probabilities, summing to 1
+    atoms: Callable[[float, int], tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -271,13 +271,12 @@ BVN = DependenceModel(
 SQUAREV = DependenceModel(
     name="squarev",
     moments=squarev_moments,
-    sample_r=_squarev_sample_r,
+    sample_r=lambda rho, rows, n, rng: _squarev_r(
+        n, *_squarev_counts(rho, rows, n, rng)),
     odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
     delta_const=-1.0,
     fisher_slope=3.0,
-    lattice=Lattice(lambda n: math.comb(n + 3, 3),
-                    lambda n: _squarev_r(n, *_squarev_atoms(n)),
-                    _squarev_lattice_pmf),
+    lattice=Lattice(lambda n: math.comb(n + 3, 3), _squarev_lattice),
 )
 
 _MODELS = {"bvn": BVN, "squarev": SQUAREV}
@@ -486,9 +485,7 @@ def squarev_exact_rejection(rho: float, n: int, t: Transform,
     if not (is_integer(n) and 1 <= n <= 10_000):
         raise ValueError(f"exact enumeration requires an integer "
                          f"1 <= n <= 10000, got n={n!r}")
-    lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
-    p_a = _pmf(lf, n, np.arange(n + 1), math.log((1.0 + rho) / 2.0),
-               math.log((1.0 - rho) / 2.0))
+    lf, p_a = _squarev_weights(rho, n)
     rejects = rejection_rule(t, rho, SQUAREV.sigma(rho), n, alpha)
     corner = bool(rejects(np.zeros(1))[0])
     # l_a = ln(2 (n + 1) P(a) / D) > ln 2 is the a-window P(a) > D/(n + 1)

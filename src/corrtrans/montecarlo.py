@@ -26,7 +26,6 @@ the task's time and memory are O(atoms) whatever N is.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import os
@@ -130,14 +129,13 @@ def run_cell(model: _models.DependenceModel, transform: Transform,
 
 def _counter(model: _models.DependenceModel,
              rules: list[Callable[[np.ndarray], np.ndarray]],
-             rho: float, n: int, N: int,
-             lattice_r: Callable[[int], np.ndarray] | None = None
+             rho: float, n: int, N: int
              ) -> Callable[[np.random.Generator], list[int]]:
     """The task of one (rho, n): draw N values of R from a generator and
     return how many of them each rule rejects.  Where the model's R has at
-    most N atoms, each rule is decided here, once per atom of lattice_r(n)
-    (default: the lattice's r), and a task draws the N draws' histogram
-    over the atoms as one multinomial; otherwise it decides every draw."""
+    most N atoms, their (R, pmf) is built here, each rule is decided once
+    per atom, and a task draws the N draws' histogram over the atoms as one
+    multinomial; otherwise it decides every draw."""
     lattice = model.lattice
     atoms = None if lattice is None else lattice.size(n)
     on_lattice = atoms is not None and atoms <= N
@@ -148,9 +146,8 @@ def _counter(model: _models.DependenceModel,
             r = model.sample_r(rho, N, n, rng)
             return [int(np.count_nonzero(rejects(r))) for rejects in rules]
         return count
-    r = (lattice_r or lattice.r)(n)
+    r, pmf = lattice.atoms(rho, n)
     rejected = np.array([rejects(r) for rejects in rules])  # rules x atoms
-    pmf = lattice.pmf(rho, n)
 
     def count_atoms(rng: np.random.Generator) -> list[int]:
         # einsum casts rejected a buffer at a time; @ would copy all of it
@@ -210,20 +207,20 @@ def run_grid(grid: ExperimentGrid
     transform) rule of that (rho, n) on its draws; returns results keyed by
     (transform, alpha, rho, n).  Output is independent of scheduling.  Each
     cell's rejection rules are built, and on a lattice decided per atom,
-    once, before any sampling starts; a lattice's R is built once per n."""
+    once, before any sampling starts; a lattice's (R, pmf) is built once per
+    (rho, n)."""
     model = _models.get_model(grid.model)
     draws = list(product(grid.rhos, grid.ns))
     levels = list(product(grid.alphas, grid.transforms))
     transforms = [_models.transform_for(model, kind,
                                         normal_quantile(1.0 - alpha))
                   for alpha, kind in levels]
-    lattice_r = model.lattice and functools.cache(model.lattice.r)
     counters = []
     for rho, n in draws:
         sigma = model.sigma(rho)
         rules = [rejection_rule(t, rho, sigma, n, alpha)
                  for (alpha, _), t in zip(levels, transforms)]
-        counters.append(_counter(model, rules, rho, n, grid.N, lattice_r))
+        counters.append(_counter(model, rules, rho, n, grid.N))
     tasks = list(product(range(len(draws)), range(grid.K)))
 
     def task_counts(task: tuple[int, int]) -> list[int]:

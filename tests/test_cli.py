@@ -339,6 +339,12 @@ class TestBadTable:
             assert code == 1
             assert err.startswith("error: bad table: ")
 
+    def test_missing_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nope.csv"
+        code, out, err = run(capsys, "table", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: input file not found: {path}")
+
     def test_good_row_renders(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps([_TABLE_ROW]))
@@ -432,6 +438,19 @@ class TestReadConfig:
             key: tuple(value) if isinstance(value, list) else value
             for key, value in raw.items()
             if key not in ("output_path", "format")}
+
+
+    @pytest.mark.parametrize("raw, message", [
+        ([], "the config must be a JSON object"),
+        ("config", "the config must be a JSON object"),
+        ({"model": "bvn", "output_path": "run.csv"},
+         r"missing keys \['alphas', 'rhos', 'ns', 'N', 'K', 'master_seed'\]"),
+    ])
+    def test_malformed_config_names_the_fault(self, tmp_path, raw, message):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=message):
+            cli.read_config(cfg_path)
 
 
 class TestSimulateWritesAtomically:

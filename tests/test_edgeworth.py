@@ -128,6 +128,23 @@ class TestValidation:
                               1.0, 0.0)
         assert m.sigma == 1.0
 
+    @pytest.mark.parametrize("L, H, Sigma", [
+        ([1.0, 0.0, 0.0], np.zeros((2, 2)), np.eye(2)),
+        ([1.0, 0.0], np.zeros((3, 3)), np.eye(2)),
+        ([1.0, 0.0], np.zeros((2, 2)), np.eye(3)),
+    ])
+    def test_rejects_inconsistent_dimensions(self, L, H, Sigma):
+        with pytest.raises(ValueError, match="inconsistent dimensions"):
+            ed.EdgeworthModel(2, np.array(L), H, Sigma, 1.0, 0.0)
+
+    @pytest.mark.parametrize("L, sigma", [([1.0, 0.0], -1.0),
+                                          ([0.0, 0.0], 0.0)])
+    def test_rejects_sigma_not_positive(self, L, sigma):
+        # sigma^2 = L' Sigma L holds: only the sign check refuses these
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            ed.EdgeworthModel(2, np.array(L), np.zeros((2, 2)), np.eye(2),
+                              sigma, 0.0)
+
     def test_rejects_inconsistent_sigma(self):
         with pytest.raises(ValueError):
             ed.EdgeworthModel(2, np.array([1.0, 0]), np.zeros((2, 2)),

@@ -406,6 +406,13 @@ class TestDeltaClosed:
         expansion = pe.assemble_statistic_model(mo.BVN.moments, 0.5)
         assert edgeworth.delta(expansion, z) == 0.0
 
+    def test_shape_where_the_optimal_exponent_is_not_finite(self):
+        # at z = 1e-170, z^2 underflows and p_z is infinite: the identity's
+        # shape is B, so Delta = rho B phi(z)
+        got = mo.delta_closed(mo.BVN, "identity", 1e-170, 0.5)
+        assert got == 0.5 * -0.5 * normal_pdf(1e-170)
+        assert got == pytest.approx(-0.0997356, abs=1e-7)
+
     @pytest.mark.parametrize("model", [mo.BVN, mo.SQUAREV])
     @pytest.mark.parametrize("kind", ["identity", "fisher", "optimal"])
     def test_matches_generic_pipeline(self, model, kind):
@@ -464,6 +471,12 @@ class TestDominanceRange:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
             mo.dominance_range(mo.BVN, 0.7, "identity")
+
+    @pytest.mark.parametrize("lo, hi", [(0.3, 0.2), (0.2, 0.2),
+                                        (math.nan, 0.2)])
+    def test_interval_requires_lo_below_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="lo < hi"):
+            mo.BetaInterval(lo, hi)
 
     def test_rejects_level_where_identity_is_optimal(self):
         # t_alpha = 1 = |B|: the SquareV optimal transform is R itself
@@ -770,8 +783,9 @@ class TestSampleR:
             per_a = (k + 1) * (n + 1 - k)
             atoms = np.cumsum(per_a)[a] - per_a[a] + u * (n + 1 - a) + v
             assert atoms.max() < lattice.size(n)
-            assert np.array_equal(lattice.r(n)[atoms], r)
-            assert np.all(lattice.pmf(rho, n)[atoms] > 0.0)
+            lattice_r, pmf = lattice.atoms(rho, n)
+            assert np.array_equal(lattice_r[atoms], r)
+            assert np.all(pmf[atoms] > 0.0)
 
     # rhos whose (1 + rho)/2 is exact in binary, so the reference is exact
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
@@ -779,7 +793,7 @@ class TestSampleR:
     def test_squarev_lattice_pmf_is_exact(self, rho, n):
         # atom (a, u, v) has probability C(n, a) q^a (1 - q)^(n - a)
         # C(a, u) C(n - a, v) / 2^n, q = (1 + rho)/2, in lexicographic order
-        pmf = mo.SQUAREV.lattice.pmf(rho, n)
+        pmf = mo.SQUAREV.lattice.atoms(rho, n)[1]
         q = Fraction((1.0 + rho) / 2.0)
         want = [math.comb(n, a) * q ** a * (1 - q) ** (n - a)
                 * Fraction(math.comb(a, u) * math.comb(n - a, v), 2 ** n)
@@ -790,6 +804,23 @@ class TestSampleR:
             assert abs(Fraction(got) - p) <= Fraction(1, 10 ** 14) * p
         assert math.fsum(pmf) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 39, 100, 170])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, 0.99])
+    def test_squarev_lattice_is_the_atomwise_formula_bitwise(self, rho, n):
+        # the pmf's last bits decide the multinomial draws: it must be the
+        # atom-wise product (P(a) Bin(a, 1/2)(u)) Bin(n - a, 1/2)(v), in
+        # that order, normalised by its sum, and R the atoms' R
+        a, u, v = mo._squarev_atoms(n)
+        lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
+        half = math.log(0.5)
+        want = mo._pmf(lf, n, a, math.log((1.0 + rho) / 2.0),
+                       math.log((1.0 - rho) / 2.0))
+        want *= mo._pmf(lf, a, u, half, half)
+        want *= mo._pmf(lf, n - a, v, half, half)
+        r, pmf = mo.SQUAREV.lattice.atoms(rho, n)
+        assert np.array_equal(pmf, want / want.sum())
+        assert np.array_equal(r, mo._squarev_r(n, a, u, v))
+
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_squarev_lattice_numbers_each_count_vector_once(self, n):
         # atom i is the i-th (a, u, v) in lexicographic order, and R of
@@ -799,7 +830,8 @@ class TestSampleR:
         counts = [(a, u, v) for a in range(n + 1) for u in range(a + 1)
                   for v in range(n - a + 1)]
         a, u, v = np.array(counts).T
-        assert np.array_equal(lattice.r(n), mo._squarev_r(n, a, u, v))
+        assert np.array_equal(lattice.atoms(0.5, n)[0],
+                              mo._squarev_r(n, a, u, v))
 
     def test_bvn_has_no_lattice(self):
         assert mo.BVN.lattice is None

@@ -252,8 +252,7 @@ class TestLatticePath:
         """The pmf of each rule's rejected atoms sums to its exact
         probability, and on one substream the counts of both paths lie
         inside that probability's Binomial(N, p) tails."""
-        lattice = mo.SQUAREV.lattice
-        r, pmf = lattice.r(n), lattice.pmf(rho, n)
+        r, pmf = mo.SQUAREV.lattice.atoms(rho, n)
         for rejects, p in zip(rules, exact):
             assert math.fsum(pmf[rejects(r)]) == pytest.approx(
                 p, rel=1e-13, abs=3e-30)  # the oracle leaves out <= 3e-30
@@ -318,24 +317,26 @@ class TestLatticePath:
         assert peaks[1] <= peaks[0] + 64 * 2 ** 10, peaks
         assert max(peaks) < 2 ** 20, peaks
 
-    def test_run_grid_builds_each_n_lattice_once(self, monkeypatch):
-        # R of the atoms depends on n alone: one array per n within a run,
-        # and nothing kept from one run for the next
+    def test_run_grid_builds_each_rho_n_lattice_once(self, monkeypatch):
+        # one (R, pmf) build per (rho, n) within a run, shared by its K
+        # tasks and all its rules, and nothing kept from one run for the next
         built = []
 
-        def lattice_r(n):
-            built.append(n)
-            return mo.SQUAREV.lattice.r(n)
+        def atoms(rho, n):
+            built.append((rho, n))
+            return mo.SQUAREV.lattice.atoms(rho, n)
 
         model = dataclasses.replace(mo.SQUAREV, lattice=dataclasses.replace(
-            mo.SQUAREV.lattice, r=lattice_r))
+            mo.SQUAREV.lattice, atoms=atoms))
         monkeypatch.setitem(mo._MODELS, "squarev", model)
-        grid = mc.ExperimentGrid("squarev", (0.05,), (0.0, 0.1, 0.5, 0.9),
-                                 (5, 10), N=400, K=2, master_seed=3)
+        grid = mc.ExperimentGrid("squarev", (0.05, 0.01),
+                                 (0.0, 0.1, 0.5, 0.9), (5, 10), N=400, K=2,
+                                 master_seed=3)
+        once = sorted(itertools.product(grid.rhos, grid.ns))
         first = mc.run_grid(grid)
-        assert sorted(built) == [5, 10]
+        assert sorted(built) == once  # 8 builds for 4 rho x 2 n
         assert mc.run_grid(grid) == first
-        assert sorted(built) == [5, 5, 10, 10]
+        assert sorted(built) == sorted(once * 2)
         monkeypatch.undo()
         assert mc.run_grid(grid) == first
 
@@ -424,6 +425,14 @@ def test_usable_cpus_within_cpu_count():
     assert 1 <= mc._usable_cpus() <= (os.cpu_count() or 1)
 
 
+@pytest.mark.parametrize("cpus, usable", [(3, 3), (None, 1)])
+def test_usable_cpus_without_affinity(monkeypatch, cpus, usable):
+    # platforms without os.sched_getaffinity fall back on os.cpu_count()
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert mc._usable_cpus() == usable
+
+
 class TestRunGrid:
     GRID = mc.ExperimentGrid(
         model="squarev", alphas=(0.05,), rhos=(0.0, 0.5), ns=(10,),
@@ -464,20 +473,22 @@ class TestRunGrid:
                                                            grid.ns)):
                 on_lattice = lattice is not None and lattice.size(n) <= grid.N
                 paths.add((name, n, on_lattice))
+                if on_lattice:
+                    r, pmf = lattice.atoms(rho, n)
                 draws = []
                 for k in range(grid.K):
                     seq = np.random.SeedSequence(grid.master_seed,
                                                  spawn_key=(d, k))
                     rng = np.random.Generator(np.random.Philox(seq))
                     draws.append(
-                        rng.multinomial(grid.N, lattice.pmf(rho, n))
+                        rng.multinomial(grid.N, pmf)
                         if on_lattice else model.sample_r(rho, grid.N, n, rng))
                 for alpha, kind in itertools.product(grid.alphas,
                                                      grid.transforms):
                     z = normal_quantile(1.0 - alpha)
                     rule = pe.rejection_rule(mo.transform_for(model, kind, z),
                                              rho, model.sigma(rho), n, alpha)
-                    hats = tuple((rule(lattice.r(n)) @ draw if on_lattice
+                    hats = tuple((rule(r) @ draw if on_lattice
                                   else np.count_nonzero(rule(draw))) / grid.N
                                  for draw in draws)
                     assert results[(kind, alpha, rho, n)].alpha_hats == hats

@@ -765,7 +765,7 @@ class TestRejectionRule:
         # 80-step bisection's verdict on every atom of R for n <= 60
         rules = atoms = 0
         for n in (5, 10, 20, 40, 60):
-            r = mo.SQUAREV.lattice.r(n)
+            r = mo.SQUAREV.lattice.atoms(0.0, n)[0]
             for alpha in (0.01, 0.05, 0.24, 0.4, 0.45):
                 z = normal_quantile(1.0 - alpha)
                 for kind in mo.TRANSFORM_KINDS:

@@ -60,6 +60,10 @@ class TestNormalCdf:
         assert normal_cdf(math.inf) == 1.0
         assert normal_cdf(-math.inf) == 0.0
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="NaN"):
+            normal_cdf(math.nan)
+
     def test_absolute_accuracy(self):
         z = -8.0
         while z <= 8.0:
@@ -145,6 +149,26 @@ class TestGauss2F1Half:
         for p, x in ((math.nan, 0.5), (0.5, math.nan)):
             with pytest.raises(ValueError):
                 gauss_2f1_half(p, x)
+
+
+    def test_series_that_does_not_converge_raises(self):
+        # terms of 2F1(1, 1; 1; z) = 1/(1 - z) are z^k: at z = 1 - 1e-9 none
+        # falls below 1e-16 of the sum within 1e5 terms
+        with pytest.raises(IntegrationError, match="did not converge"):
+            specfun._positive_2f1(1.0, 1.0, 1.0, 1.0 - 1e-9)
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("abs_tol, rel_tol", [
+        (0.0, 1e-12), (1e-12, 0.0), (-1e-12, 1e-12), (math.nan, 1e-12)])
+    def test_rejects_tolerances_not_positive(self, abs_tol, rel_tol):
+        with pytest.raises(ValueError, match="tolerances must be positive"):
+            Tolerance(abs_tol, rel_tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            Tolerance(1e-12, 1e-12, max_iter)
 
 
 class TestGammaRatioEndpoint:
