@@ -15,10 +15,12 @@ SquareV a = #{W = 1} ~ Bin(n, (1 + rho)/2), u = #{Y = 1, W = 1} ~ Bin(a, 1/2)
 and v = #{Y = 1, W = -1} ~ Bin(n - a, 1/2), the (a, u, v) the oracle sums over.
 For n <= 512 u and v are popcounts of Y's n fair signs drawn as random bits,
 at most 8 words per sample; above it they are two binomials.  SquareV's R
-thus takes one value per triple (a, u, v), C(n + 3, 3) atoms in all: its
-`Lattice` numbers them and gives R and the probability P(a) Bin(a, 1/2)(u)
-Bin(n - a, 1/2)(v) of each, so Monte Carlo can draw how many of its
-samples fall on each atom, as one multinomial, instead of every sample.
+thus takes one value per triple (a, u, v), and the same value at its mirrors
+(a, a - u, v) and (a, u, n - a - v): its `Lattice` numbers the triples with
+2u <= a and 2v <= n - a, about C(n + 3, 3)/4 atoms, and gives R and the
+probability P(a) Bin(a, 1/2)(u) Bin(n - a, 1/2)(v) of each, times its
+mirror count, so Monte Carlo can decide each atom once instead of every
+sample.
 """
 
 from __future__ import annotations
@@ -177,15 +179,24 @@ def _squarev_counts(rho: float, rows: int, n: int, rng: np.random.Generator
     return (a, *_squarev_sign_counts(n, a, rng))
 
 
+def _squarev_lattice_size(n: int) -> int:
+    """Number of SquareV atoms at n: the (a, u, v) with 2u <= a and
+    2v <= n - a, in closed form with h = n // 2."""
+    h = n // 2
+    return (h + 1) * (h + 2) * (3 * n + 3 - 4 * h) // 6
+
+
 def _squarev_atoms(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, u, v) of every SquareV atom at n, in atom order: the triples with
-    u <= a and v <= n - a, numbered start[a] + u (n + 1 - a) + v, where the
-    (a + 1)(n + 1 - a) atoms of each a sum to C(n + 3, 3)."""
+    u <= a // 2 and v <= (n - a) // 2, numbered start[a] + u w_a + v with
+    w_a = (n - a) // 2 + 1.  Each stands for its mirrors (a, a - u, v) and
+    (a, u, n - a - v), whose R is its R bit for bit."""
     k = np.arange(n + 1)
-    per_a = (k + 1) * (n + 1 - k)
+    width = (n - k) // 2 + 1
+    per_a = (k // 2 + 1) * width
     a = np.repeat(k, per_a)
     start = np.cumsum(per_a) - per_a
-    return (a, *np.divmod(np.arange(a.size) - start[a], n + 1 - a))
+    return (a, *np.divmod(np.arange(a.size) - start[a], width[a]))
 
 
 def _squarev_weights(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,12 +208,14 @@ def _squarev_weights(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _squarev_lattice(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(R, pmf) of every atom, in atom order: pmf is P(a) B_a(u) B_{n-a}(v),
-    normalised, with B_k(j) = Bin(k, 1/2)(j) read from one (n + 1)^2 table."""
+    normalised, with B_k(j) = Bin(k, 1/2)(j), doubled where 2j < k for the
+    mirror k - j, read from one (n + 1)^2 table."""
     a, u, v = _squarev_atoms(n)
     lf, p_a = _squarev_weights(rho, n)
     k = np.arange(n + 1)  # j is clipped to k, so lf[k - j] cannot wrap
     half = _pmf(lf, k[:, None], np.minimum(k, k[:, None]), math.log(0.5),
                 math.log(0.5))
+    half[2 * k < k[:, None]] *= 2.0
     pmf = p_a[a] * half[a, u] * half[n - a, v]
     return _squarev_r(n, a, u, v), pmf / pmf.sum()
 
@@ -210,12 +223,14 @@ def _squarev_lattice(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True)
 class Lattice:
     """The finitely many values R takes at each sample size n, for a model
-    that has them: its atoms, numbered 0 to size(n) - 1."""
+    that has them: its atoms, numbered 0 to size(n) - 1.  An atom may stand
+    for several samples' statistics with the same R (SquareV's mirrors)."""
 
     # n -> number of atoms, without building them
     size: Callable[[int], int]
     # (rho, n) -> (R, pmf) of every atom, in atom order: R bit for bit the R
-    # sample_r draws, and pmf the atoms' probabilities, summing to 1
+    # sample_r draws at each statistic the atom stands for, and pmf the
+    # atoms' probabilities (of all those statistics), summing to 1
     atoms: Callable[[float, int], tuple[np.ndarray, np.ndarray]]
 
 
@@ -276,7 +291,7 @@ SQUAREV = DependenceModel(
     odd_factor=lambda rho: rho / (3.0 * math.sqrt(1.0 - rho * rho)),
     delta_const=-1.0,
     fisher_slope=3.0,
-    lattice=Lattice(lambda n: math.comb(n + 3, 3), _squarev_lattice),
+    lattice=Lattice(_squarev_lattice_size, _squarev_lattice),
 )
 
 _MODELS = {"bvn": BVN, "squarev": SQUAREV}

@@ -17,11 +17,14 @@ time.  Draws are counted by `pearson.rejection_rule`, as the exact SquareV
 oracle is.
 
 Where the model's R has at most N atoms at n (`DependenceModel.lattice`),
-each rule is decided once per atom instead, before the tasks start, and a
-task draws how many of its N samples fall on each atom as one
-Multinomial(N, pmf) vector and sums it over each rule's rejected atoms.
-Each count keeps its row-path law, Binomial(N, p), from other draws, and
-the task's time and memory are O(atoms) whatever N is.
+each rule is decided once per atom instead, before the tasks start.  The
+atoms with the same verdicts under every rule form one rejection pattern
+(the six rules of the paper's grid leave 2 to 7), and a task draws how many
+of its N samples fall on each pattern as one Multinomial(N, pattern pmf)
+vector and sums it over each rule's rejecting patterns.  Merged cells of a
+multinomial are multinomial, so each count keeps its row-path law,
+Binomial(N, p), from other draws, and a task's time and memory are
+O(rules x patterns) whatever N is.
 """
 
 from __future__ import annotations
@@ -133,26 +136,42 @@ def _counter(model: _models.DependenceModel,
              ) -> Callable[[np.random.Generator], list[int]]:
     """The task of one (rho, n): draw N values of R from a generator and
     return how many of them each rule rejects.  Where the model's R has at
-    most N atoms, their (R, pmf) is built here, each rule is decided once
-    per atom, and a task draws the N draws' histogram over the atoms as one
-    multinomial; otherwise it decides every draw."""
+    most N atoms, their (R, pmf) is built here and each rule is decided once
+    per atom; the atoms with the same verdicts under every rule form one
+    pattern, and a task draws the N draws' histogram over the patterns as
+    one multinomial; otherwise it decides every draw."""
     lattice = model.lattice
     atoms = None if lattice is None else lattice.size(n)
-    on_lattice = atoms is not None and atoms <= N
-    _log.debug("Monte Carlo at rho=%r, n=%d: %s path, atoms=%s, draws=%d per "
-               "task", rho, n, "lattice" if on_lattice else "row", atoms, N)
-    if not on_lattice:
+    if atoms is None or atoms > N:
+        _log.debug("Monte Carlo at rho=%r, n=%d: row path, atoms=%s, "
+                   "draws=%d per task", rho, n, atoms, N)
+
         def count(rng: np.random.Generator) -> list[int]:
             r = model.sample_r(rho, N, n, rng)
             return [int(np.count_nonzero(rejects(r))) for rejects in rules]
         return count
     r, pmf = lattice.atoms(rho, n)
-    rejected = np.array([rejects(r) for rejects in rules])  # rules x atoms
+    rejected = [rejects(r) for rejects in rules]
+    # each atom's verdicts as the bits of one integer; where a 64th bit would
+    # be needed the codes are first renumbered densely, below the atom count
+    code = np.zeros(atoms, np.int64)
+    bits = 0
+    for verdicts in rejected:
+        if bits == 63:
+            code = np.unique(code, return_inverse=True)[1]
+            bits = int(code.max()).bit_length()
+        code = 2 * code + verdicts
+        bits += 1
+    _, first, pattern = np.unique(code, return_index=True,
+                                  return_inverse=True)
+    patterns = np.array([verdicts[first] for verdicts in rejected])
+    pattern_pmf = np.bincount(pattern, weights=pmf)
+    _log.debug("Monte Carlo at rho=%r, n=%d: lattice path, atoms=%d, "
+               "patterns=%d, draws=%d per task", rho, n, atoms, first.size, N)
 
-    def count_atoms(rng: np.random.Generator) -> list[int]:
-        # einsum casts rejected a buffer at a time; @ would copy all of it
-        return np.einsum("ij,j->i", rejected, rng.multinomial(N, pmf)).tolist()
-    return count_atoms
+    def count_patterns(rng: np.random.Generator) -> list[int]:
+        return (patterns @ rng.multinomial(N, pattern_pmf)).tolist()
+    return count_patterns
 
 
 def aggregate(alpha_hats: tuple[float, ...], alpha: float) -> CellResult:

@@ -766,10 +766,12 @@ class TestSampleR:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 65, 200, 600])
     def test_squarev_atoms_draw_what_sample_r_draws(self, n):
-        # one seed: the (a, u, v) that sample_r's R is made from, numbered
-        # start[a] + u (n + 1 - a) + v, are atoms of positive probability
-        # whose lattice R is that R bit for bit; at n = 600 u and v are
-        # binomials, and the lattice (36 million atoms) is not built
+        # one seed: the (a, u, v) that sample_r's R is made from, folded to
+        # (a, min(u, a - u), min(v, m - v)) with m = n - a and numbered
+        # start[a] + u w_a + v with w_a = m // 2 + 1, are atoms of positive
+        # probability whose lattice R is that R bit for bit; at n = 600 u
+        # and v are binomials, and the lattice (9 million atoms) is not
+        # built
         lattice, rho, rows = mo.SQUAREV.lattice, 0.3, 20_000
         r_rng, count_rng = (np.random.Generator(np.random.Philox(key=81))
                             for _ in range(2))
@@ -780,8 +782,11 @@ class TestSampleR:
         assert np.array_equal(mo._squarev_r(n, a, u, v), r)
         if n <= 200:
             k = np.arange(n + 1)
-            per_a = (k + 1) * (n + 1 - k)
-            atoms = np.cumsum(per_a)[a] - per_a[a] + u * (n + 1 - a) + v
+            width = (n - k) // 2 + 1
+            per_a = (k // 2 + 1) * width
+            m = n - a
+            atoms = (np.cumsum(per_a)[a] - per_a[a]
+                     + np.minimum(u, a - u) * width[a] + np.minimum(v, m - v))
             assert atoms.max() < lattice.size(n)
             lattice_r, pmf = lattice.atoms(rho, n)
             assert np.array_equal(lattice_r[atoms], r)
@@ -791,14 +796,18 @@ class TestSampleR:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 20])
     @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.25, -0.75])
     def test_squarev_lattice_pmf_is_exact(self, rho, n):
-        # atom (a, u, v) has probability C(n, a) q^a (1 - q)^(n - a)
-        # C(a, u) C(n - a, v) / 2^n, q = (1 + rho)/2, in lexicographic order
+        # atom (a, u, v), 2u <= a and 2v <= m = n - a, has probability
+        # C(n, a) q^a (1 - q)^m C(a, u) C(m, v) / 2^n, q = (1 + rho)/2, times
+        # 2 where 2u < a and 2 where 2v < m for its mirrors, in
+        # lexicographic order
         pmf = mo.SQUAREV.lattice.atoms(rho, n)[1]
         q = Fraction((1.0 + rho) / 2.0)
         want = [math.comb(n, a) * q ** a * (1 - q) ** (n - a)
-                * Fraction(math.comb(a, u) * math.comb(n - a, v), 2 ** n)
-                for a in range(n + 1) for u in range(a + 1)
-                for v in range(n - a + 1)]
+                * Fraction(math.comb(a, u) * (2 if 2 * u < a else 1)
+                           * math.comb(n - a, v) * (2 if 2 * v < n - a else 1),
+                           2 ** n)
+                for a in range(n + 1) for u in range(a // 2 + 1)
+                for v in range((n - a) // 2 + 1)]
         assert len(pmf) == len(want) == mo.SQUAREV.lattice.size(n)
         for got, p in zip(pmf.tolist(), want):
             assert abs(Fraction(got) - p) <= Fraction(1, 10 ** 14) * p
@@ -808,30 +817,38 @@ class TestSampleR:
     @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, 0.99])
     def test_squarev_lattice_is_the_atomwise_formula_bitwise(self, rho, n):
         # the pmf's last bits decide the multinomial draws: it must be the
-        # atom-wise product (P(a) Bin(a, 1/2)(u)) Bin(n - a, 1/2)(v), in
-        # that order, normalised by its sum, and R the atoms' R
+        # atom-wise product (P(a) 2^[2u < a] Bin(a, 1/2)(u))
+        # 2^[2v < m] Bin(m, 1/2)(v), m = n - a, in that order, normalised by
+        # its sum, and R the atoms' R
         a, u, v = mo._squarev_atoms(n)
+        m = n - a
         lf = np.array([log_gamma(k + 1.0) for k in range(n + 1)])
         half = math.log(0.5)
         want = mo._pmf(lf, n, a, math.log((1.0 + rho) / 2.0),
                        math.log((1.0 - rho) / 2.0))
-        want *= mo._pmf(lf, a, u, half, half)
-        want *= mo._pmf(lf, n - a, v, half, half)
+        want *= mo._pmf(lf, a, u, half, half) * np.where(2 * u < a, 2.0, 1.0)
+        want *= mo._pmf(lf, m, v, half, half) * np.where(2 * v < m, 2.0, 1.0)
         r, pmf = mo.SQUAREV.lattice.atoms(rho, n)
         assert np.array_equal(pmf, want / want.sum())
         assert np.array_equal(r, mo._squarev_r(n, a, u, v))
 
     @pytest.mark.parametrize("n", [1, 2, 5, 20])
     def test_squarev_lattice_numbers_each_count_vector_once(self, n):
-        # atom i is the i-th (a, u, v) in lexicographic order, and R of
-        # every atom is the kernel's R of its cell-count vector
+        # atom i is the i-th folded triple (a, u, v), 2u <= a and
+        # 2v <= n - a, in lexicographic order: the image of the C(n + 3, 3)
+        # cell-count vectors under (a, u, v) -> (a, min(u, a - u),
+        # min(v, n - a - v)), each once; R of every atom is the kernel's R
+        # of each cell-count vector folded onto it
         lattice = mo.SQUAREV.lattice
-        assert lattice.size(n) == math.comb(n + 3, 3) == len(_count_vectors(n))
-        counts = [(a, u, v) for a in range(n + 1) for u in range(a + 1)
-                  for v in range(n - a + 1)]
-        a, u, v = np.array(counts).T
-        assert np.array_equal(lattice.atoms(0.5, n)[0],
-                              mo._squarev_r(n, a, u, v))
+        vecs = _count_vectors(n)
+        assert len(vecs) == math.comb(n + 3, 3)
+        a, u, v = vecs[:, 0] + vecs[:, 3], vecs[:, 0], vecs[:, 1]
+        folded = np.stack([a, np.minimum(u, a - u), np.minimum(v, n - a - v)])
+        atoms, atom_of = np.unique(folded, axis=1, return_inverse=True)
+        assert lattice.size(n) == atoms.shape[1]
+        assert np.array_equal(np.stack(mo._squarev_atoms(n)), atoms)
+        assert np.array_equal(lattice.atoms(0.5, n)[0][atom_of],
+                              _kernel_r(n, vecs))
 
     def test_bvn_has_no_lattice(self):
         assert mo.BVN.lattice is None
@@ -961,7 +978,9 @@ class TestSquarevRowPremise:
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_both_mirrors_share_r_on_every_atom(self, n):
-        self._mirrors_share_r(n, *mo._squarev_atoms(n))
+        vecs = _count_vectors(n)
+        self._mirrors_share_r(n, vecs[:, 0] + vecs[:, 3], vecs[:, 0],
+                              vecs[:, 1])
 
     @pytest.mark.parametrize("n", [1000, 10_000])
     def test_both_mirrors_share_r_on_random_atoms(self, n):

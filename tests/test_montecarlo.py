@@ -227,13 +227,14 @@ def _binomial_consistent(count, trials, p):
 
 
 class TestLatticePath:
-    """Where SquareV's R has at most N atoms, a task draws its histogram of
-    N atoms as one multinomial and each rule is decided once per atom; each
-    rule's count must have the law of the row path's count, the Binomial(N,
-    p) of the rule's exact rejection probability p."""
+    """Where SquareV's R has at most N atoms, each rule is decided once per
+    atom, and a task draws its histogram of N draws over the atoms' rejection
+    patterns as one multinomial; each rule's count must have the law of the
+    row path's count, the Binomial(N, p) of the rule's exact rejection
+    probability p."""
 
     ROWS_ONLY = dataclasses.replace(mo.SQUAREV, lattice=None)
-    N = 12_000  # C(42, 3) = 11,480 atoms at n = 39
+    N = 12_000  # above the 3,080 atoms at n = 39
 
     @staticmethod
     def levels():
@@ -296,11 +297,56 @@ class TestLatticePath:
                               mc.substream(3, 0, 0))
             assert _binomial_consistent(round(hat * 4000), 4000, exact)
 
+    def test_more_rules_than_code_bits(self, monkeypatch):
+        # 22 alphas x 3 transforms = 66 rules of one (rho, n): their verdicts
+        # do not fit one 63-bit code, and the run still counts every rule;
+        # a stub generator whose multinomial returns its pvals turns a
+        # task's counts into each rule's pattern mass
+        alphas = tuple(0.01 * k for k in range(1, 23))
+        rho, n = 0.5, 20
+        levels = list(itertools.product(alphas, mo.TRANSFORM_KINDS))
+        sigma = mo.SQUAREV.sigma(rho)
+        transforms = [mo.transform_for(mo.SQUAREV, kind,
+                                       normal_quantile(1.0 - alpha))
+                      for alpha, kind in levels]
+        rules = [pe.rejection_rule(t, rho, sigma, n, alpha)
+                 for (alpha, _), t in zip(levels, transforms)]
+
+        class Masses:
+            @staticmethod
+            def multinomial(N, pvals):
+                return pvals
+
+        masses = mc._counter(mo.SQUAREV, rules, rho, n, self.N)(Masses())
+        r, pmf = mo.SQUAREV.lattice.atoms(rho, n)
+        for rejects, mass, t, (alpha, _) in zip(rules, masses, transforms,
+                                                levels):
+            assert mass == pytest.approx(math.fsum(pmf[rejects(r)]),
+                                         rel=1e-13)
+            assert mass == pytest.approx(
+                mo.squarev_exact_rejection(rho, n, t, alpha), rel=1e-13,
+                abs=3e-30)
+
+        monkeypatch.setenv(mc.THREADS_ENV, "1")
+        grid = mc.ExperimentGrid("squarev", alphas, (rho,), (n,), N=self.N,
+                                 K=2, master_seed=5)
+        results = mc.run_grid(grid)
+        assert len(results) == len(levels)
+        # a fixed transform rejects a superset at a larger alpha, on the
+        # same draws (the optimal transform changes with alpha)
+        for kind in ("identity", "fisher"):
+            for k in range(grid.K):
+                hats = [results[(kind, alpha, rho, n)].alpha_hats[k]
+                        for alpha in alphas]
+                assert hats == sorted(hats), kind
+                assert 0.0 < hats[0] < hats[-1] < 1.0, kind
+
     def test_task_memory_does_not_grow_with_N(self):
-        # a lattice task holds its histogram and buffers of the atoms' size,
-        # not its N draws: at n = 39 (11,480 atoms) the peak of one task at
-        # N = 10^6 is within 64 KiB of its peak at N = 12,000, and both are
-        # below 1 MiB (the N rows of the row path take 8 MB per array)
+        # a lattice task holds its histogram and buffers of the patterns'
+        # size, not its N draws: at n = 39 (3,080 atoms) the peak of one
+        # task at N = 10^6 is within 64 KiB of its peak at N = 12,000, and
+        # both are below 1 MiB (the N rows of the row path take 8 MB per
+        # array)
         n, rho = 39, 0.5
         counters = [mc._counter(mo.SQUAREV, self.rules(rho, n), rho, n, N)
                     for N in (self.N, 10 ** 6)]
@@ -349,11 +395,14 @@ class TestLatticePath:
         assert [r.name for r in caplog.records] == ["corrtrans.montecarlo"] * 2
         assert [r.levelno for r in caplog.records] == [logging.DEBUG] * 2
         assert [r.args for r in caplog.records] == [
-            (0.5, 10, "lattice", 286, 4000),
-            (0.5, 200, "row", 1_373_701, 12_000)]
+            (0.5, 10, 91, 2, 4000),
+            (0.5, 200, 348_551, 12_000)]
         assert caplog.records[0].getMessage() == (
-            "Monte Carlo at rho=0.5, n=10: lattice path, atoms=286, "
-            "draws=4000 per task")
+            "Monte Carlo at rho=0.5, n=10: lattice path, atoms=91, "
+            "patterns=2, draws=4000 per task")
+        assert caplog.records[1].getMessage() == (
+            "Monte Carlo at rho=0.5, n=200: row path, atoms=348551, "
+            "draws=12000 per task")
 
     def test_silent_at_the_default_level(self):
         src = str(Path(mc.__file__).resolve().parents[1])
@@ -460,7 +509,8 @@ class TestRunGrid:
         # runs over 0..K-1, and every alpha's rules count the same N draws:
         # N values of R, or where the model has at most N atoms at n (here
         # SquareV at n = 10, not at n = 20) one multinomial histogram of
-        # them, summed over each rule's rejected atoms
+        # them over the distinct columns of the rules x atoms verdicts, in
+        # lexicographic order, summed over each rule's rejecting columns
         monkeypatch.setenv(mc.THREADS_ENV, "1")
         paths = set()
         for name in ("bvn", "squarev"):
@@ -468,29 +518,36 @@ class TestRunGrid:
                                      (10, 20), N=500, K=2, master_seed=9)
             model = mo.get_model(grid.model)
             lattice = model.lattice
+            levels = list(itertools.product(grid.alphas, grid.transforms))
             results = mc.run_grid(grid)
             for d, (rho, n) in enumerate(itertools.product(grid.rhos,
                                                            grid.ns)):
+                rules = [pe.rejection_rule(
+                    mo.transform_for(model, kind, normal_quantile(1 - alpha)),
+                    rho, model.sigma(rho), n, alpha)
+                    for alpha, kind in levels]
                 on_lattice = lattice is not None and lattice.size(n) <= grid.N
                 paths.add((name, n, on_lattice))
                 if on_lattice:
                     r, pmf = lattice.atoms(rho, n)
-                draws = []
+                    patterns, pattern = np.unique(
+                        [rule(r) for rule in rules], axis=1,
+                        return_inverse=True)
+                    pattern_pmf = np.bincount(pattern, weights=pmf)
+                counts = []
                 for k in range(grid.K):
                     seq = np.random.SeedSequence(grid.master_seed,
                                                  spawn_key=(d, k))
                     rng = np.random.Generator(np.random.Philox(seq))
-                    draws.append(
-                        rng.multinomial(grid.N, pmf)
-                        if on_lattice else model.sample_r(rho, grid.N, n, rng))
-                for alpha, kind in itertools.product(grid.alphas,
-                                                     grid.transforms):
-                    z = normal_quantile(1.0 - alpha)
-                    rule = pe.rejection_rule(mo.transform_for(model, kind, z),
-                                             rho, model.sigma(rho), n, alpha)
-                    hats = tuple((rule(r) @ draw if on_lattice
-                                  else np.count_nonzero(rule(draw))) / grid.N
-                                 for draw in draws)
+                    if on_lattice:
+                        draw = rng.multinomial(grid.N, pattern_pmf)
+                        counts.append(patterns @ draw)
+                    else:
+                        draw = model.sample_r(rho, grid.N, n, rng)
+                        counts.append([np.count_nonzero(rule(draw))
+                                       for rule in rules])
+                for i, (alpha, kind) in enumerate(levels):
+                    hats = tuple(c[i] / grid.N for c in counts)
                     assert results[(kind, alpha, rho, n)].alpha_hats == hats
         assert paths == {("bvn", 10, False), ("bvn", 20, False),
                          ("squarev", 10, True), ("squarev", 20, False)}
@@ -498,16 +555,18 @@ class TestRunGrid:
     @pytest.mark.parametrize("model", ["bvn", "squarev"])
     def test_one_alpha_keeps_the_per_cell_stream(self, monkeypatch, model):
         # with one alpha the draw index is the cell's position in cells(),
-        # so such grids draw what one run_cell per (cell, worker) draws
+        # so a grid of one alpha and one transform draws what one run_cell
+        # per (cell, worker) draws (on the lattice a grid of more rules
+        # draws over its own rejection patterns)
         monkeypatch.setenv(mc.THREADS_ENV, "1")
-        grid = mc.ExperimentGrid(model, (0.05,), (0.0, 0.5), (10, 20),
-                                 N=500, K=2, master_seed=9)
         m = mo.get_model(model)
-        results = mc.run_grid(grid)
-        for ci, (alpha, rho, n) in enumerate(grid.cells()):
-            z = normal_quantile(1.0 - alpha)
-            for kind in grid.transforms:
-                t = mo.transform_for(m, kind, z)
+        for kind in mo.TRANSFORM_KINDS:
+            grid = mc.ExperimentGrid(model, (0.05,), (0.0, 0.5), (10, 20),
+                                     N=500, K=2, master_seed=9,
+                                     transforms=(kind,))
+            results = mc.run_grid(grid)
+            for ci, (alpha, rho, n) in enumerate(grid.cells()):
+                t = mo.transform_for(m, kind, normal_quantile(1.0 - alpha))
                 hats = tuple(mc.run_cell(m, t, alpha, rho, n, grid.N,
                                          mc.substream(grid.master_seed, ci, k))
                              for k in range(grid.K))
@@ -652,7 +711,7 @@ class TestStreamDigest:
     }
     DIGESTS = {
         "squarev-lattice":
-            "051c41236c0d2cf473d8e9be590670af70c9a868c005c8df91e2729552c52c36",
+            "15c90c8215cdf969289ad8f9f379b79b44c71ea79f0288e2e25f2ab6e8e7c018",
         "squarev-bits":
             "fa0c295fe8c454d67fe5504287426ea51fd08e41175b0e3b2a2bd61c5d901ca2",
         "squarev-binomials":

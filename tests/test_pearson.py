@@ -762,10 +762,14 @@ class TestRejectionRule:
 
     def test_every_squarev_atom_as_with_the_bisection(self):
         # r* within 1e-13 of the root, inside the 1e-9 tie band, gives the
-        # 80-step bisection's verdict on every atom of R for n <= 60
+        # 80-step bisection's verdict on every atom of R for n <= 60, each
+        # (a, u, v) with u <= a and v <= n - a, mirrors included
         rules = atoms = 0
         for n in (5, 10, 20, 40, 60):
-            r = mo.SQUAREV.lattice.atoms(0.0, n)[0]
+            a, u, v = np.array([(a, u, v) for a in range(n + 1)
+                                for u in range(a + 1)
+                                for v in range(n - a + 1)]).T
+            r = mo._squarev_r(n, a, u, v)
             for alpha in (0.01, 0.05, 0.24, 0.4, 0.45):
                 z = normal_quantile(1.0 - alpha)
                 for kind in mo.TRANSFORM_KINDS:
