@@ -17,14 +17,14 @@ time.  Draws are counted by `pearson.rejection_rule`, as the exact SquareV
 oracle is.
 
 Where the model's R has at most N atoms at n (`DependenceModel.lattice`),
-each rule is decided once per atom instead, before the tasks start.  The
-atoms with the same verdicts under every rule form one rejection pattern
-(the six rules of the paper's grid leave 2 to 7), and a task draws how many
-of its N samples fall on each pattern as one Multinomial(N, pattern pmf)
-vector and sums it over each rule's rejecting patterns.  Merged cells of a
-multinomial are multinomial, so each count keeps its row-path law,
-Binomial(N, p), from other draws, and a task's time and memory are
-O(rules x patterns) whatever N is.
+each rule is decided once per atom instead, before the tasks start.  Each
+rule rejects the R above its threshold, so the atoms sorted by R fall into
+runs with the same verdicts under every rule, the rejection patterns (the
+paper's six rules leave 2 to 7); a task draws how many of its N samples fall
+on each pattern as one Multinomial(N, pattern pmf) vector and sums it over
+each rule's rejecting patterns.  Merged cells of a multinomial are
+multinomial, so each count keeps its row-path law, Binomial(N, p), and a
+task's time and memory are O(rules x patterns) whatever N is.
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ def _counter(model: _models.DependenceModel,
              ) -> Callable[[np.random.Generator], list[int]]:
     """The task of one (rho, n): draw N values of R from a generator and
     return how many of them each rule rejects.  Where the model's R has at
-    most N atoms, their (R, pmf) is built here and each rule is decided once
-    per atom; the atoms with the same verdicts under every rule form one
-    pattern, and a task draws the N draws' histogram over the patterns as
-    one multinomial; otherwise it decides every draw."""
+    most N atoms, their (R, pmf) is built here, sorted by R, and each rule
+    is decided once per atom; each run of atoms with the same verdicts under
+    every rule is one pattern, and a task draws the N draws' histogram over
+    the patterns as one multinomial; otherwise it decides every draw."""
     lattice = model.lattice
     atoms = None if lattice is None else lattice.size(n)
     if atoms is None or atoms > N:
@@ -151,21 +151,13 @@ def _counter(model: _models.DependenceModel,
             return [int(np.count_nonzero(rejects(r))) for rejects in rules]
         return count
     r, pmf = lattice.atoms(rho, n)
-    rejected = [rejects(r) for rejects in rules]
-    # each atom's verdicts as the bits of one integer; where a 64th bit would
-    # be needed the codes are first renumbered densely, below the atom count
-    code = np.zeros(atoms, np.int64)
-    bits = 0
-    for verdicts in rejected:
-        if bits == 63:
-            code = np.unique(code, return_inverse=True)[1]
-            bits = int(code.max()).bit_length()
-        code = 2 * code + verdicts
-        bits += 1
-    _, first, pattern = np.unique(code, return_index=True,
-                                  return_inverse=True)
-    patterns = np.array([verdicts[first] for verdicts in rejected])
-    pattern_pmf = np.bincount(pattern, weights=pmf)
+    order = np.argsort(r)
+    r = r[order]
+    verdicts = np.array([rejects(r) for rejects in rules])
+    # the start of each run of atoms with equal verdicts under every rule
+    first = np.flatnonzero(np.r_[True, np.diff(verdicts, axis=1).any(0)])
+    patterns = verdicts[:, first]
+    pattern_pmf = np.add.reduceat(pmf[order], first)
     _log.debug("Monte Carlo at rho=%r, n=%d: lattice path, atoms=%d, "
                "patterns=%d, draws=%d per task", rho, n, atoms, first.size, N)
 

@@ -108,7 +108,8 @@ def _positive_2f1(a: float, b: float, c: float, z: float) -> float:
         total += term
         if term < 1e-16 * total:
             return total
-    raise IntegrationError("2F1 series did not converge in 1e5 terms")
+    raise IntegrationError(f"2F1({a}, {b}; {c}; {z}) series did not converge "
+                           "in 1e5 terms")
 
 
 def gauss_2f1_half(p: float, x: float) -> float:
@@ -226,9 +227,8 @@ def integrate_ode(
         # standard PI-free step adjustment with safety factor
         factor = 0.9 * (err ** -0.2) if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
-    raise IntegrationError(
-        f"ODE integration did not converge within {tol.max_iter} steps"
-    )
+    raise IntegrationError(f"ODE from t0={t0} to t1={t1} reached t={t}: did "
+                           f"not converge within {tol.max_iter} steps")
 
 
 # integrate_ode holds each step to its tolerance, but the caller's bound is on

@@ -273,6 +273,18 @@ class TestLatticePath:
         self.check_against_the_oracle(self.rules(rho, n), exact, rho, n,
                                       self.N, (5, n, 0))
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, -0.5, 0.9, 0.99])
+    def test_counts_at_n_200_as_the_row_path(self, rho):
+        # at N = 10^6 the lattice takes SquareV's n in (179, 285]; n = 200 at
+        # N = its atom count, the least N that puts it on the lattice
+        n = 200
+        N = mo.SQUAREV.lattice.size(n)
+        assert N == 348_551
+        exact = [mo.squarev_exact_rejection(rho, n, t, alpha)
+                 for alpha, t in self.levels()]
+        self.check_against_the_oracle(self.rules(rho, n), exact, rho, n, N,
+                                      (5, n, 0))
+
     def test_atom_in_the_tie_band(self):
         # test_squarev_atom_on_the_threshold's atom: R(a=2, u=1, v=0) at
         # n = 5 is on the Fisher threshold, so the rule decides it by tau
@@ -297,11 +309,12 @@ class TestLatticePath:
                               mc.substream(3, 0, 0))
             assert _binomial_consistent(round(hat * 4000), 4000, exact)
 
-    def test_more_rules_than_code_bits(self, monkeypatch):
-        # 22 alphas x 3 transforms = 66 rules of one (rho, n): their verdicts
-        # do not fit one 63-bit code, and the run still counts every rule;
-        # a stub generator whose multinomial returns its pvals turns a
-        # task's counts into each rule's pattern mass
+    def test_many_rules_and_a_band_rule(self, monkeypatch):
+        # 22 alphas x 3 transforms = 66 rules of one (rho, n), and a stub rule
+        # that rejects only R in (-0.5, 0): every r* lies above 0, so the
+        # all-accept verdict column recurs on both sides of the band, in two
+        # runs of the R-sorted atoms; a stub generator whose multinomial
+        # returns its pvals turns a task's counts into each rule's mass
         alphas = tuple(0.01 * k for k in range(1, 23))
         rho, n = 0.5, 20
         levels = list(itertools.product(alphas, mo.TRANSFORM_KINDS))
@@ -311,15 +324,22 @@ class TestLatticePath:
                       for alpha, kind in levels]
         rules = [pe.rejection_rule(t, rho, sigma, n, alpha)
                  for (alpha, _), t in zip(levels, transforms)]
+        assert min(rejects.r_star for rejects in rules) > 0.0
+
+        def band(r):
+            return (r > -0.5) & (r < 0.0)
 
         class Masses:
             @staticmethod
             def multinomial(N, pvals):
                 return pvals
 
-        masses = mc._counter(mo.SQUAREV, rules, rho, n, self.N)(Masses())
+        masses = mc._counter(mo.SQUAREV, [band, *rules], rho, n,
+                             self.N)(Masses())
         r, pmf = mo.SQUAREV.lattice.atoms(rho, n)
-        for rejects, mass, t, (alpha, _) in zip(rules, masses, transforms,
+        assert 0.0 < masses[0] == pytest.approx(math.fsum(pmf[band(r)]),
+                                                rel=1e-13)
+        for rejects, mass, t, (alpha, _) in zip(rules, masses[1:], transforms,
                                                 levels):
             assert mass == pytest.approx(math.fsum(pmf[rejects(r)]),
                                          rel=1e-13)
@@ -509,8 +529,12 @@ class TestRunGrid:
         # runs over 0..K-1, and every alpha's rules count the same N draws:
         # N values of R, or where the model has at most N atoms at n (here
         # SquareV at n = 10, not at n = 20) one multinomial histogram of
-        # them over the distinct columns of the rules x atoms verdicts, in
-        # lexicographic order, summed over each rule's rejecting columns
+        # them over the rejection patterns, summed over each rule's rejecting
+        # patterns.  The run takes a pattern per run of the R-sorted atoms'
+        # verdict columns; this check takes the distinct columns in
+        # lexicographic order instead.  Both agree because every rule rejects
+        # the R above its r*, so the rules' rejection sets are nested: each
+        # distinct column is one run, and R order is lexicographic order
         monkeypatch.setenv(mc.THREADS_ENV, "1")
         paths = set()
         for name in ("bvn", "squarev"):

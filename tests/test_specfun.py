@@ -154,8 +154,9 @@ class TestGauss2F1Half:
     def test_series_that_does_not_converge_raises(self):
         # terms of 2F1(1, 1; 1; z) = 1/(1 - z) are z^k: at z = 1 - 1e-9 none
         # falls below 1e-16 of the sum within 1e5 terms
-        with pytest.raises(IntegrationError, match="did not converge"):
+        with pytest.raises(IntegrationError, match="did not converge") as err:
             specfun._positive_2f1(1.0, 1.0, 1.0, 1.0 - 1e-9)
+        assert "2F1(1.0, 1.0; 1.0; 0.999999999)" in str(err.value)
 
 
 class TestTolerance:
@@ -289,8 +290,11 @@ class TestQuadratureBound:
         assert integrate_adaptive(one, 0.0, 1.0, Tolerance(1e-9, 1e-9, 4)) \
             == pytest.approx(1.0, abs=1e-15)
         assert calls == 1 + 6 * 4
-        with pytest.raises(IntegrationError, match="within 3 steps"):
+        with pytest.raises(IntegrationError, match="within 3 steps") as err:
             integrate_adaptive(one, 0.0, 1.0, Tolerance(1e-9, 1e-9, 3))
+        # the message names the interval and where the steps 0.01, 0.05 and
+        # 0.25 (each accepted step grows h five-fold) left off
+        assert "from t0=0.0 to t1=1.0 reached t=0.31:" in str(err.value)
 
     @pytest.mark.parametrize("f", [math.sin, lambda r: 1.0],
                              ids=["sin", "constant"])
